@@ -44,6 +44,7 @@ from repro import ConversionOptions, convert_source, simulate_mimd, simulate_sim
 from repro.analysis.compare import compare_msc_vs_interpreter, format_table
 from repro.analysis.stagetime import format_stage_table
 from repro.errors import LintError, MscError, SourceError
+from repro.simd.machine import BACKENDS
 from repro.stages.cache import CompileCache, default_cache_root
 from repro.viz.dot import ascii_graph, cfg_to_dot, meta_graph_to_dot
 
@@ -148,6 +149,16 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="write the stage report as JSON to PATH")
 
 
+def _add_backend_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--backend", choices=BACKENDS, default=None,
+                   help="SIMD executor, identical results on each: "
+                        "native = cffi-compiled C kernels, the fastest "
+                        "(falls back to kernels without a C toolchain); "
+                        "kernels = fused NumPy kernels, the default and "
+                        "the --lazy executor; plan = table executor "
+                        "that records traces; interp = the spec oracle")
+
+
 def _read(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -226,26 +237,17 @@ def cmd_compile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _backend(args: argparse.Namespace) -> str | None:
-    """Resolve the executor choice: ``--backend`` wins, the legacy
-    ``--no-plans`` spells ``interp``, default is the machine's
-    (kernels)."""
-    if args.backend:
-        return args.backend
-    return "interp" if args.no_plans else None
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     result = _convert(args)
     simd = simulate_simd(result, npes=args.npes, active=args.active,
                          max_steps=args.max_steps,
-                         backend=_backend(args), shards=args.shards)
+                         backend=args.backend)
     print(f"returns: {simd.returns}")
     print(f"cycles: {simd.cycles} (body {simd.body_cycles}, "
           f"transitions {simd.transition_cycles})")
     print(f"utilization: {simd.utilization:.1%}; "
           f"meta transitions: {simd.meta_transitions}")
-    print(f"backend: {simd.backend_used} (shards {simd.shards})")
+    print(f"backend: {simd.backend_used}")
     if getattr(result.options, "lazy", False):
         stats = result.lazy_program().stats()
         print(f"lazy: {stats['lazy_discovered']} states discovered, "
@@ -275,8 +277,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     result = _convert(args)
     row = compare_msc_vs_interpreter(args.source, result, npes=args.npes,
                                      active=args.active,
-                                     backend=_backend(args),
-                                     shards=args.shards)
+                                     backend=args.backend)
     print(format_table([row]))
     _emit_report(args, result)
     return 0
@@ -358,24 +359,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--npes", type=int, default=16)
     p.add_argument("--active", type=int, default=None)
     p.add_argument("--max-steps", type=int, default=1_000_000)
-    p.add_argument("--backend",
-                   choices=["kernels", "kernels-mt", "native",
-                            "native-mt", "plan", "plan-mt", "interp"],
-                   default=None,
-                   help="SIMD executor: fused generated kernels "
-                        "(default), their sharded multi-core variant, "
-                        "cffi-compiled C kernels (serial or sharded "
-                        "with the GIL released; falls back to kernels "
-                        "when no C toolchain is present), the "
-                        "precompiled plan tables (serial or sharded), "
-                        "or the interpretive reference — identical "
-                        "results")
-    p.add_argument("--shards", type=int, default=None,
-                   help="PE-axis shard count for the -mt backends "
-                        "(default $REPRO_SHARDS or the CPU count; 1 "
-                        "runs the serial path)")
-    p.add_argument("--no-plans", action="store_true",
-                   help="alias for --backend interp (differential oracle)")
+    _add_backend_flag(p)
     p.add_argument("--check", action="store_true",
                    help="cross-check against the MIMD reference machine")
     p.set_defaults(func=cmd_run)
@@ -384,15 +368,7 @@ def main(argv: list[str] | None = None) -> int:
     _add_common(p)
     p.add_argument("--npes", type=int, default=16)
     p.add_argument("--active", type=int, default=None)
-    p.add_argument("--backend",
-                   choices=["kernels", "kernels-mt", "native",
-                            "native-mt", "plan", "plan-mt", "interp"],
-                   default=None,
-                   help="SIMD executor backend (default kernels)")
-    p.add_argument("--shards", type=int, default=None,
-                   help="PE-axis shard count for the -mt backends")
-    p.add_argument("--no-plans", action="store_true",
-                   help="alias for --backend interp")
+    _add_backend_flag(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("lint", help="run the static analyzers only")

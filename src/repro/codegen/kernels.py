@@ -62,15 +62,10 @@ lazily and dropped on pickling, which is what lets the kernels travel
 inside the content-addressed compile cache — a warm hit loads the
 source and compiles it, regenerating nothing.
 
-Generated kernels are **shard-sliceable**: a kernel never indexes the
+Generated kernels are **width-agnostic**: a kernel never indexes the
 PE axis with absolute ids of its own making — lane sets come from
 ``np.flatnonzero`` over the ``pc`` array it was handed, widths from
-``pc.shape[0]``, and PE ids from ``st.pids``. A
-:class:`~repro.codegen.plan.NodePlan.shardable` node's kernel may
-therefore run on a :class:`~repro.simd.shards.ShardView` (a contiguous
-slice of the PE axis) exactly as on the full state; only cross-lane
-nodes (mono stores, router ops, spawn fills scanning the global free
-pool) are pinned to full-width execution.
+``pc.shape[0]``, and PE ids from ``st.pids``.
 """
 
 from __future__ import annotations
@@ -84,7 +79,7 @@ from repro.codegen import plan as planmod
 from repro.ir.instr import BINARY_OPS, UNARY_OPS, Instr, Op
 
 #: Bump when the generated-code contract with the machine changes.
-#: v2: kernels are certified shard-sliceable (see module docstring).
+#: v2: kernels are width-agnostic (see module docstring).
 KERNEL_VERSION = 2
 
 #: Ops that push one value and therefore carry an overflow check in
@@ -93,9 +88,8 @@ _PUSHING_OPS = frozenset({Op.PUSH, Op.DUP, Op.LD, Op.LDM, Op.PROCNUM,
                           Op.NPROC, Op.RPOP})
 
 #: Cross-lane ops (mono writes, router reads/writes) — the one
-#: canonical set lives on the plan layer, which also uses it to decide
-#: node shardability. Their presence pins a segment to the
-#: schedule-order execution; everything else is lane-private, so
+#: canonical set lives on the plan layer. Their presence pins a
+#: segment to the schedule-order execution; everything else is lane-private, so
 #: disjoint members can be re-serialized (see
 #: :meth:`_Generator._emit_body`).
 _CROSSLANE_OPS = planmod.CROSSLANE_OPS

@@ -41,13 +41,10 @@ the NumPy kernels exactly, only which of several errors surfaces first
 may differ (the same documented divergence the NumPy kernels have
 against the plan executor).
 
-Generated functions are **shard-sliceable** under the same contract as
-kernel v2: lane indices are always relative to the ``pc`` pointer the
-function was handed, widths come from ``n``, PE ids from ``pids``, and
-row strides are passed explicitly (a :class:`~repro.simd.shards.ShardView`
-column slice keeps the full-array row stride). Cross-lane nodes (mono
-stores, router ops, spawn fills) are only ever called full-width, like
-their NumPy twins.
+Generated functions are width-agnostic like the NumPy kernels: lane
+indices are always relative to the ``pc`` pointer the function was
+handed, widths come from ``n``, PE ids from ``pids``, and row strides
+are passed explicitly.
 
 A :class:`NativeProgram` stores only the generated *source* (plus the
 node-key -> function-name table); compiling it to a shared library and

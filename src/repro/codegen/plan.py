@@ -37,7 +37,7 @@ runners exploit):
 
 Plans change *nothing* about the simulated cost model: the machine
 charges exactly the same cycles per entry and per terminator; only the
-host-side bookkeeping gets cheaper. ``SimdMachine(use_plans=False)``
+host-side bookkeeping gets cheaper. ``SimdMachine(backend="interp")``
 keeps the original interpretive executor as a differential oracle.
 """
 
@@ -68,10 +68,7 @@ SRC_SUBSET = 2   # a strict subset: gather the guard row by pc
 #: Ops whose effect is visible across lanes: mono writes (broadcast,
 #: highest-indexed writer wins over the whole enabled set) and router
 #: reads/writes. Everything else touches only the executing PE's column
-#: of the state arrays. A node containing one of these (or a spawn
-#: terminator, which claims PEs from the global free pool) is not
-#: *shardable*: the sharded executor of :mod:`repro.simd.shards` runs
-#: it serially on the full arrays instead.
+#: of the state arrays.
 CROSSLANE_OPS = frozenset({Op.STM, Op.STMI, Op.LDR, Op.STR})
 
 
@@ -114,10 +111,6 @@ class NodePlan:
     ``MetaNode.segments``."""
 
     segments: list
-    #: Every instruction of every segment is lane-private and no member
-    #: spawns: the node may execute on disjoint slices of the PE axis
-    #: (see :data:`CROSSLANE_OPS` and :mod:`repro.simd.shards`).
-    shardable: bool = False
 
 
 @dataclass
@@ -146,9 +139,6 @@ class ProgramPlan:
                 1 for sp in segments for t in (sp.depth_tables or ())
                 if t is not None
             ),
-            "plan_shardable_nodes": sum(
-                1 for np_ in self.nodes.values() if np_.shardable
-            ),
         }
 
 
@@ -165,10 +155,7 @@ def compile_plan(prog) -> ProgramPlan:
     plan = ProgramPlan(n_bids=n_bids, bit_weights=weights)
     for key, node in prog.nodes.items():
         segments = [_compile_segment(seg, n_bids) for seg in node.segments]
-        plan.nodes[key] = NodePlan(
-            segments=segments,
-            shardable=_node_shardable(segments),
-        )
+        plan.nodes[key] = NodePlan(segments=segments)
     plan.static_depths = _entry_depth_dataflow(prog, plan)
     if plan.static_depths is not None:
         for nplan in plan.nodes.values():
@@ -207,7 +194,7 @@ def compile_node_plan(node, n_bids: int,
     depth map; when given, the per-entry depth scalars/tables are
     attached exactly as the eager path does."""
     segments = [_compile_segment(seg, n_bids) for seg in node.segments]
-    nplan = NodePlan(segments=segments, shardable=_node_shardable(segments))
+    nplan = NodePlan(segments=segments)
     if static_depths is not None:
         for sp in segments:
             _attach_static_depths(sp, static_depths, n_bids)
@@ -254,18 +241,6 @@ def cfg_entry_depths(cfg) -> dict | None:
             elif prev != td:
                 return None
     return depths
-
-
-def _node_shardable(segments: list[SegmentPlan]) -> bool:
-    """Whether every segment of a node is lane-private: no cross-lane
-    instruction and no spawn terminator (spawn fills scan the *global*
-    free pool)."""
-    for sp in segments:
-        if any(instr.op in CROSSLANE_OPS for instr in sp.instrs):
-            return False
-        if K_SPAWN in sp.kinds:
-            return False
-    return True
 
 
 def _entry_depth_dataflow(prog, plan: ProgramPlan) -> dict | None:

@@ -8,10 +8,7 @@ only the few helpers that would bloat every generated function live
 here.
 
 All helpers are width-agnostic: ``n`` in :func:`union` is whatever
-``pc.shape[0]`` the kernel was handed, so a shardable kernel running
-on a :class:`~repro.simd.shards.ShardView` slice of the PE axis works
-with shard-local lane indices throughout (the shard-sliceability
-contract of kernel v2 — see :mod:`repro.codegen.kernels`).
+``pc.shape[0]`` the kernel was handed (see :mod:`repro.codegen.kernels`).
 """
 
 from __future__ import annotations

@@ -31,7 +31,6 @@ from repro.errors import MachineError
 from repro.hashenc.search import key_of_members
 from repro.ir.block import CondBr, Fall, Halt, Return, SpawnT
 from repro.ir.instr import DEFAULT_COSTS, CostModel
-from repro.simd import shards as shardsmod
 from repro.simd import vecops
 
 PC_DONE = -2
@@ -52,10 +51,7 @@ class SimdResult:
     ``backend_used`` names the executor that actually ran: it equals
     the requested backend unless the machine had to fall back (trace
     enabled, no compiled kernels, or a foreign cost model — each
-    downgrade also emits a :class:`RuntimeWarning`). ``shards`` is the
-    shard count the run used (always 1 for the serial backends; an
-    ``-mt`` request resolved to one shard keeps its name but reports
-    ``shards=1``).
+    downgrade also emits a :class:`RuntimeWarning`).
     """
 
     npes: int
@@ -70,7 +66,6 @@ class SimdResult:
     meta_transitions: int
     node_visits: dict[frozenset, int]
     backend_used: str = "interp"
-    shards: int = 1
     trace: dict | None = None  # per-PE [(block id, meta step)] when enabled
 
     @property
@@ -87,32 +82,18 @@ class SimdResult:
         return self.transition_cycles / self.cycles
 
 
-#: The selectable node-body executors, fastest first — all seven
-#: produce bit-identical :class:`SimdResult`\s. The ``native`` pair
-#: runs cffi-compiled C kernels (:mod:`repro.codegen.native`); the
-#: ``-mt`` variants shard the PE axis across a worker pool
-#: (:mod:`repro.simd.shards`).
-BACKENDS = ("native", "native-mt", "kernels", "kernels-mt",
-            "plan", "plan-mt", "interp")
+#: The selectable node-body executors, fastest first — all four
+#: produce bit-identical :class:`SimdResult`\s. Each has one role:
+#: ``native`` is the fastest (cffi-compiled C kernels,
+#: :mod:`repro.codegen.native`); ``kernels`` runs where there is no C
+#: toolchain and under lazy conversion; ``plan`` records traces and is
+#: the IR the kernels compile from; ``interp`` is the spec oracle.
+BACKENDS = ("native", "kernels", "plan", "interp")
 
 
-def resolve_backend(backend: str | None = None,
-                    use_plans: bool | None = None) -> str:
-    """Normalize the executor choice — the one helper behind both
-    :meth:`SimdMachine.__init__` and
-    :func:`repro.pipeline.simulate_simd`.
-
-    ``backend`` wins when given; the legacy ``use_plans`` spelling
-    (``False`` = ``"interp"``, ``True`` = the default ``"kernels"``)
-    is deprecated and emits a :class:`DeprecationWarning`. ``None`` for
-    both means ``"kernels"``."""
-    if use_plans is not None:
-        warnings.warn(
-            "use_plans is deprecated; pass backend='interp' instead of "
-            "use_plans=False (the default backend is 'kernels')",
-            DeprecationWarning, stacklevel=3)
-        if backend is None:
-            backend = "kernels" if use_plans else "interp"
+def resolve_backend(backend: str | None = None) -> str:
+    """Normalize the executor choice: ``None`` means ``"kernels"``;
+    a name outside :data:`BACKENDS` raises :class:`MachineError`."""
     if backend is None:
         backend = "kernels"
     if backend not in BACKENDS:
@@ -136,12 +117,8 @@ class SimdMachine:
         the transitions).
     stack_depth / rstack_depth:
         Operand and return-selector stack sizes per PE.
-    use_plans:
-        Deprecated back-compat switch: ``False`` is shorthand for
-        ``backend="interp"`` (:func:`resolve_backend` warns). Ignored
-        when ``backend`` is given.
     backend:
-        Which executor runs the node bodies — all seven produce
+        Which executor runs the node bodies — all four produce
         bit-identical :class:`SimdResult`\\ s:
 
         - ``"native"``: per-node C functions generated by
@@ -155,10 +132,6 @@ class SimdMachine:
           model); the fallback cascades through the ``"kernels"``
           checks below, and :attr:`SimdResult.backend_used` records
           what actually ran.
-        - ``"native-mt"``: the C kernels, sharded. cffi releases the
-          GIL for the duration of each C call, so — unlike the NumPy
-          backends — shard workers genuinely overlap. Same fallbacks,
-          to ``"kernels-mt"``.
         - ``"kernels"`` (default): fused per-node functions generated by
           :mod:`repro.codegen.kernels` — one compiled kernel executes a
           whole node. Falls back to ``"plan"`` with a
@@ -166,49 +139,27 @@ class SimdMachine:
           (tracing on, cost model differs from the one the program was
           emitted with, or unresolvable static depths); the run's
           :attr:`SimdResult.backend_used` records what actually ran.
-        - ``"kernels-mt"``: the kernels, with every shardable node's
-          PE axis split into ``shards`` contiguous slices executed on
-          a worker pool (:mod:`repro.simd.shards`). Same fallbacks as
-          ``"kernels"``, to ``"plan-mt"``.
         - ``"plan"``: the table-driven executor of
-          :mod:`repro.codegen.plan` (the PR-1 fast path).
-        - ``"plan-mt"``: the table executor, sharded — the
-          differential oracle for ``"kernels-mt"``.
+          :mod:`repro.codegen.plan` — records traces, and its tables
+          are the IR the kernels compile from.
         - ``"interp"``: the original interpretive executor — the
           differential oracle.
-    shards:
-        Shard count for the ``-mt`` backends. Default ``None`` means
-        ``$REPRO_SHARDS`` or the host CPU count; the count is clamped
-        to ``npes``, and one shard runs the serial twin executor
-        (results are identical either way). Ignored (with a
-        :class:`RuntimeWarning`) for serial backends.
     """
 
     BACKENDS = BACKENDS
 
     def __init__(self, npes: int, costs: CostModel = DEFAULT_COSTS,
                  stack_depth: int = 64, rstack_depth: int = 256,
-                 trace: bool = False, use_plans: bool | None = None,
-                 backend: str | None = None, shards: int | None = None):
+                 trace: bool = False, backend: str | None = None):
         if npes < 1:
             raise MachineError("need at least one PE")
-        backend = resolve_backend(backend, use_plans)
         self.npes = npes
         self.costs = costs
         self.stack_depth = stack_depth
         self.rstack_depth = rstack_depth
         self.trace_enabled = trace
-        self.backend = backend
-        self.use_plans = backend != "interp"
+        self.backend = resolve_backend(backend)
         self._nfns = None  # loaded native kernels, set per run
-        if backend in shardsmod.MT_BACKENDS:
-            self.nshards = shardsmod.resolve_shard_count(shards, npes)
-        else:
-            if shards is not None:
-                warnings.warn(
-                    f"shards={shards} has no effect with the serial "
-                    f"backend {backend!r}", RuntimeWarning, stacklevel=2)
-            self.nshards = 1
 
     # ------------------------------------------------------------------
     def run(self, prog: SimdProgram, active: int | None = None,
@@ -221,8 +172,8 @@ class SimdMachine:
         ``plan`` supplies a precompiled
         :class:`~repro.codegen.plan.ProgramPlan` for ``prog`` (e.g. the
         one the stage pipeline produced and cached); when omitted and
-        ``use_plans`` is on, the program's own cached plan is used —
-        either way nothing is rebuilt per run.
+        the backend is not ``interp``, the program's own cached plan is
+        used — either way nothing is rebuilt per run.
 
         ``miss_handler`` enables lazy conversion: a
         :class:`~repro.codegen.lazy.LazyProgram` whose ``fetch(state,
@@ -237,56 +188,24 @@ class SimdMachine:
             raise MachineError(f"active={active} out of range 1..{self.npes}")
 
         backend_used = self._effective_backend(prog, miss_handler)
-        mt = backend_used in shardsmod.MT_BACKENDS
-        nshards = self.nshards if mt else 1
-        if mt and nshards > 1:
-            # Small-node guard: when each shard would hold fewer lanes
-            # than the pool handoff is worth, run the serial twin
-            # instead (the mt label stays; the result reports shards=1).
-            per_shard = -(-self.npes // nshards)
-            if per_shard < shardsmod.inline_threshold(backend_used):
-                nshards = 1
-        if backend_used in ("native", "native-mt"):
+        if backend_used == "native":
             from repro.simd import nativert
 
             try:
-                return self._dispatch(prog, active, max_steps, plan,
-                                      backend_used, nshards, miss_handler)
+                return self._run_serial(prog, active, max_steps, plan,
+                                        backend_used, miss_handler)
             except nativert.NativeKernelError as err:
                 # A C kernel reported a failing lane by code; the exact
                 # MachineError (message, in-order position) comes from
-                # replaying on the NumPy kernels — same determinism/
-                # discarded-state argument as the ShardError replay in
-                # _dispatch.
+                # replaying on the NumPy kernels: the run is
+                # deterministic and a failing run discards machine
+                # state, so the replay raises exactly the error the
+                # kernels backend would have.
                 self._run_serial(prog, active, max_steps, plan, "kernels",
-                                 backend_used, nshards, miss_handler)
+                                 miss_handler)
                 raise MachineError(str(err))  # replay passed
-        return self._dispatch(prog, active, max_steps, plan, backend_used,
-                              nshards, miss_handler)
-
-    def _dispatch(self, prog: SimdProgram, active: int, max_steps: int,
-                  plan: "planmod.ProgramPlan | None", backend_used: str,
-                  nshards: int, miss_handler=None) -> SimdResult:
-        if nshards > 1:
-            try:
-                return self._run_mt(prog, active, max_steps, plan,
-                                    backend_used, nshards, miss_handler)
-            except shardsmod.ShardError as err:
-                # Exact in-order error reconstruction: the run is
-                # deterministic and failing runs discard machine state,
-                # so replaying on the serial twin surfaces exactly the
-                # error the serial backend would have raised —
-                # including its position across shard boundaries.
-                self._run_serial(prog, active, max_steps, plan,
-                                 shardsmod.SERIAL_TWIN[backend_used],
-                                 backend_used, nshards, miss_handler)
-                raise err.errors[0]  # replay passed: surface original
-        # One shard degrades to the serial twin executor (results are
-        # identical by contract); the mt label and shard count stay on
-        # the result so callers see what was asked and resolved.
-        exec_backend = shardsmod.SERIAL_TWIN.get(backend_used, backend_used)
-        return self._run_serial(prog, active, max_steps, plan, exec_backend,
-                                backend_used, nshards, miss_handler)
+        return self._run_serial(prog, active, max_steps, plan, backend_used,
+                                miss_handler)
 
     def _effective_backend(self, prog: SimdProgram,
                            miss_handler=None) -> str:
@@ -300,10 +219,9 @@ class SimdMachine:
                 f"backend {backend!r} records no per-PE trace; running "
                 f"'plan' instead", RuntimeWarning, stacklevel=3)
             return "plan"
-        if backend in ("native", "native-mt"):
+        if backend == "native":
             from repro.simd import nativert
 
-            fallback = "kernels" if backend == "native" else "kernels-mt"
             reason = None
             if miss_handler is not None:
                 # Documented per-node fallback: lazy conversion
@@ -332,12 +250,11 @@ class SimdMachine:
                     reason = f"native kernel build failed: {err}"
             if reason is None:
                 return backend
-            warnings.warn(
-                f"{reason}; running {fallback!r} instead",
-                RuntimeWarning, stacklevel=3)
-            backend = fallback  # cascade through the kernels checks
-        if backend in ("kernels", "kernels-mt"):
-            fallback = "plan" if backend == "kernels" else "plan-mt"
+            warnings.warn(f"{reason}; running 'kernels' instead",
+                          RuntimeWarning, stacklevel=3)
+            backend = "kernels"  # cascade through the kernels checks
+        if backend == "kernels":
+            fallback = "plan"
             if miss_handler is not None:
                 # Lazy mode: kernels are JIT-compiled per node by the
                 # handler; only global feasibility is checked up front.
@@ -385,7 +302,7 @@ class SimdMachine:
                 pc: np.ndarray, cycles: int, body_cycles: int,
                 transition_cycles: int, enabled_pe_cycles: int,
                 transitions: int, visits: dict, trace: dict | None,
-                backend_used: str, nshards: int) -> SimdResult:
+                backend_used: str) -> SimdResult:
         returns = np.full(self.npes, np.nan)
         if prog.ret_slot is not None:
             done = pc == PC_DONE
@@ -403,13 +320,11 @@ class SimdMachine:
             meta_transitions=transitions,
             node_visits=visits,
             backend_used=backend_used,
-            shards=nshards,
             trace=trace,
         )
 
     def _run_serial(self, prog: SimdProgram, active: int, max_steps: int,
-                    plan: "planmod.ProgramPlan | None", exec_backend: str,
-                    backend_used: str, nshards: int,
+                    plan: "planmod.ProgramPlan | None", backend: str,
                     miss_handler=None) -> SimdResult:
         st, pc = self._initial_state(prog, active)
 
@@ -421,7 +336,7 @@ class SimdMachine:
         visits: dict = {}
         trace: dict = {p: [] for p in range(self.npes)} if self.trace_enabled else None
         barrier_mask = key_of_members(prog.barrier_ids)
-        if exec_backend == "interp":
+        if backend == "interp":
             plan = None
         elif plan is None:
             plan = prog.plan()
@@ -433,10 +348,10 @@ class SimdMachine:
         # native executor uses the same per-node callable contract, so
         # it shares the kernel dispatch below; nodes the C generator
         # skipped fall through to the plan executor lane-identically.
-        if exec_backend == "kernels":
+        if backend == "kernels":
             kfns = (miss_handler.kfns if miss_handler is not None
                     else prog.kernels().fns)
-        elif exec_backend == "native":
+        elif backend == "native":
             kfns = self._nfns
         else:
             kfns = None
@@ -518,177 +433,7 @@ class SimdMachine:
 
         return self._result(prog, st, pc, cycles, body_cycles,
                             transition_cycles, enabled_pe_cycles,
-                            transitions, visits, trace, backend_used,
-                            nshards)
-
-    def _run_mt(self, prog: SimdProgram, active: int, max_steps: int,
-                plan: "planmod.ProgramPlan | None", backend_used: str,
-                nshards: int, miss_handler=None) -> SimdResult:
-        """The sharded run loop: shardable nodes execute on ``nshards``
-        disjoint slices of the PE axis via the worker pool; cross-lane
-        nodes run serially on the full arrays. Per-shard aggregates
-        combine by tree-reduce, so dispatch — and every accounting
-        field — is bit-identical to the serial twin:
-
-        - per-segment control-unit cycles are lane-count independent,
-          and (absent spawn) a shard's live set within a node only
-          shrinks, so the shard that exits a node latest reproduces the
-          serial (body, transition) charge — combine is ``max``;
-        - enabled-PE cycles are per-lane — combine is ``sum``;
-        - the mid-node exit test is "no live PE anywhere" — combine is
-          ``all``; ``globalor`` is an OR — combine is :func:`~repro.
-          simd.shards.tree_or`.
-        """
-        st, pc = self._initial_state(prog, active)
-        if plan is None:
-            plan = prog.plan()
-        if backend_used == "kernels-mt":
-            kfns = (miss_handler.kfns if miss_handler is not None
-                    else prog.kernels().fns)
-        elif backend_used == "native-mt":
-            kfns = self._nfns
-        else:
-            kfns = None
-        weights = plan.bit_weights
-        bounds = shardsmod.shard_bounds(self.npes, nshards)
-        views = [shardsmod.ShardView(st, lo, hi) for lo, hi in bounds]
-        pcs = [pc[lo:hi] for lo, hi in bounds]
-        pool = shardsmod.get_pool(nshards)
-        barrier_mask = key_of_members(prog.barrier_ids)
-
-        cycles = 0
-        body_cycles = 0
-        transition_cycles = 0
-        enabled_pe_cycles = 0
-        transitions = 0
-        visits: dict = {}
-
-        current = prog.start
-        steps = 0
-        while True:
-            steps += 1
-            if steps > max_steps:
-                raise MachineError(f"SIMD run exceeded {max_steps} meta steps")
-            if miss_handler is not None:
-                miss_handler.fetch(current, want_kernel=kfns is not None)
-            node = prog.nodes[current]
-            nplan = plan.nodes[current]
-            visits[node.entry_members] = visits.get(node.entry_members, 0) + 1
-            need_agg = (node.barrier_target is not None
-                        or node.encoding is not None)
-            apc = None
-
-            kfn = kfns.get(current) if kfns is not None else None
-            if nplan.shardable:
-                def task(spc, view, kfn=kfn, node=node, nplan=nplan,
-                         need_agg=need_agg):
-                    if kfn is not None:
-                        out = kfn(spc, view)
-                    else:
-                        out = self._exec_node_plan_shard(node, nplan,
-                                                         spc, view)
-                    agg = (shardsmod.shard_globalor(spc, weights)
-                           if need_agg else 0)
-                    return out, agg
-
-                outs = pool.run([
-                    (lambda i=i: task(pcs[i], views[i]))
-                    for i in range(nshards)
-                ])
-                b = max(o[0][0] for o in outs)
-                t = max(o[0][1] for o in outs)
-                e = sum(o[0][2] for o in outs)
-                exited = all(o[0][3] for o in outs)
-                cycles += b + t
-                body_cycles += b
-                transition_cycles += t
-                enabled_pe_cycles += e
-                if exited:
-                    break
-                if need_agg:
-                    apc = shardsmod.tree_or(o[1] for o in outs)
-            else:
-                # Cross-lane node (mono store, router, spawn): full
-                # width, exactly the serial executor.
-                if kfn is not None:
-                    b, t, e, exited = kfn(pc, st)
-                    cycles += b + t
-                    body_cycles += b
-                    transition_cycles += t
-                    enabled_pe_cycles += e
-                else:
-                    exited = False
-                    for i, seg in enumerate(node.segments):
-                        c, e = self._exec_segment_plan(nplan.segments[i],
-                                                       pc, st, None, steps)
-                        cycles += c
-                        body_cycles += c
-                        enabled_pe_cycles += e
-                        if seg.can_exit:
-                            cycles += self.costs.globalor_cost
-                            transition_cycles += self.costs.globalor_cost
-                            if not np.any(pc >= 0):
-                                exited = True
-                                break
-                if exited:
-                    break
-                if need_agg:
-                    apc = self._globalor(pc, plan)
-
-            transitions += 1
-            if node.barrier_target is not None:
-                cycles += self.costs.globalor_cost
-                transition_cycles += self.costs.globalor_cost
-                if apc == 0:
-                    break
-                if apc & ~barrier_mask == 0:
-                    current = node.barrier_target
-                    continue
-            if node.encoding is not None:
-                cost = self.costs.globalor_cost + self.costs.dispatch_cost
-                cycles += cost
-                transition_cycles += cost
-                if apc == 0:
-                    break
-                if apc & ~barrier_mask:
-                    key = apc & ~barrier_mask
-                else:
-                    key = apc
-                current = node.encoding.lookup(key)
-            elif node.single_target is not None:
-                cycles += self.costs.branch_cost
-                transition_cycles += self.costs.branch_cost
-                current = node.single_target
-            else:
-                break
-
-        return self._result(prog, st, pc, cycles, body_cycles,
-                            transition_cycles, enabled_pe_cycles,
-                            transitions, visits, None, backend_used,
-                            nshards)
-
-    def _exec_node_plan_shard(self, node, nplan: planmod.NodePlan,
-                              pc: np.ndarray,
-                              st: "shardsmod.ShardView"
-                              ) -> tuple[int, int, int, bool]:
-        """One shard's slice of a whole (shardable) node on the plan
-        tables — the table-executor twin of a generated kernel, with
-        the kernel return convention ``(body, transition, enabled,
-        exited)``. The shard-local mid-node exit is sound because a
-        shard that empties early would only skip segments that are
-        no-ops on its (empty) slice."""
-        body = 0
-        tcost = 0
-        enabled = 0
-        for i, seg in enumerate(node.segments):
-            c, e = self._exec_segment_plan(nplan.segments[i], pc, st)
-            body += c
-            enabled += e
-            if seg.can_exit:
-                tcost += self.costs.globalor_cost
-                if not np.any(pc >= 0):
-                    return body, tcost, enabled, True
-        return body, tcost, enabled, False
+                            transitions, visits, trace, backend)
 
     # ------------------------------------------------------------------
     def _globalor(self, pc: np.ndarray, plan=None) -> int:

@@ -13,21 +13,19 @@ program; this module turns that text into callable per-node functions:
   relocatable: nothing in the key or the artifact mentions absolute
   paths, only content.
 - **cffi ABI mode** — ``ffi.cdef`` + ``ffi.dlopen``; no ``Python.h``
-  and no compile-against-CPython step. Crucially, cffi releases the
-  GIL for the duration of every C call, which is what lets
-  ``backend=native-mt`` run shard loops genuinely in parallel on one
-  interpreter (see :mod:`repro.simd.shards`).
+  and no compile-against-CPython step.
 - **graceful degradation** — :func:`unavailable_reason` is the single
   availability seam (cffi importable, a C compiler on ``PATH``, not
   killed via ``REPRO_NATIVE_DISABLE=1``); the machine checks it before
   selecting the backend and falls back to ``kernels`` with a
   ``RuntimeWarning`` when it is set. Build failures raise
-  :class:`NativeBuildError`, which the machine treats the same way.
+  :class:`NativeBuildError`, which the machine treats the same way. A
+  cached ``.so`` that fails to ``dlopen`` (truncated or overwritten) is
+  evicted and rebuilt once; if the rebuild will not load either, that
+  is a build failure too.
 
 A wrapper call hands the C function raw array pointers (row strides in
-elements), so a :class:`~repro.simd.shards.ShardView` — whose column
-slices keep the full-array row stride — works exactly like the full
-state. A nonzero return code raises :class:`NativeKernelError`; the
+elements). A nonzero return code raises :class:`NativeKernelError`; the
 machine replays the run on the ``kernels`` backend to reconstruct the
 exact :class:`~repro.errors.MachineError` (simulation is
 deterministic, and state is discarded on error).
@@ -191,7 +189,19 @@ def load_native(nat) -> dict:
     so_path = build_shared(nat)
     ffi = cffi.FFI()
     ffi.cdef(nat.cdef())
-    lib = ffi.dlopen(str(so_path))
+    try:
+        lib = ffi.dlopen(str(so_path))
+    except OSError:
+        # build_shared trusts any existing artifact; a corrupt one is
+        # evicted and rebuilt once.
+        so_path.unlink(missing_ok=True)
+        so_path = build_shared(nat)
+        try:
+            lib = ffi.dlopen(str(so_path))
+        except OSError as err:
+            so_path.unlink(missing_ok=True)
+            raise NativeBuildError(
+                f"rebuilt library does not load: {err}") from err
     fns = {key: _make_wrapper(ffi, getattr(lib, name))
            for key, name in nat.entry_names.items()}
     _loaded[nat.digest()] = (ffi, lib, fns)
@@ -203,8 +213,6 @@ def _make_wrapper(ffi, cfn):
 
     def call(pc, st):
         n = pc.shape[0]
-        # Per-call scratch: native-mt runs wrappers concurrently, so
-        # nothing here may be shared across threads.
         scratch = np.empty(n, dtype=np.int64)
         out = np.empty(4, dtype=np.int64)
         rc = cfn(

@@ -42,11 +42,7 @@ class PeState:
         return-selector stacks for the recursion trick.
 
     The PE axis is always the *last* axis, so a contiguous PE range is
-    a numpy basic slice — a writable view, not a copy. That layout is
-    what lets :class:`~repro.simd.shards.ShardView` hand disjoint
-    slices of one shared state to parallel shard workers; executors
-    must accept any object with these attributes (``exec_instr_at``
-    never touches ``sp``/``rsp`` beyond the view either).
+    a numpy basic slice — a writable view, not a copy.
     """
 
     def __init__(self, npes: int, n_poly: int, n_mono: int,

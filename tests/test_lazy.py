@@ -2,7 +2,7 @@
 LazyProgram miss-handler, and their differential contract against
 eager compilation.
 
-The contract has two tiers (docs/internals.md section 14):
+The contract has two tiers (docs/internals.md section 13):
 
 - *cold* lazy runs are result-identical to the MIMD oracle (returns and
   memory), but on barrier-parking programs a state's first-visit table
@@ -84,15 +84,12 @@ class TestWarmDifferential:
         # Warm the manager: one run reaches the parked fixpoint over
         # the visited region, after which accounting is exact.
         simulate_simd(lazy, NPES, active=active, backend="interp")
-        for backend in ("kernels", "kernels-mt"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                machine = SimdMachine(NPES, costs=opts.costs,
-                                      backend=backend, shards=2)
-                ref = machine.run(twin, active=active)
-                got = simulate_simd(lazy, NPES, active=active,
-                                    backend=backend, shards=2)
-            _bit_identical(ref, got)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            machine = SimdMachine(NPES, costs=opts.costs, backend="kernels")
+            ref = machine.run(twin, active=active)
+            got = simulate_simd(lazy, NPES, active=active, backend="kernels")
+        _bit_identical(ref, got)
 
 
 # ----------------------------------------------------------------------

@@ -1,17 +1,18 @@
 """The native C backend: differential identity, graceful fallback,
 artifact caching, and the ``--emit c`` CLI surface.
 
-The contract under test (docs/internals.md §17): ``backend=native``
-and ``backend=native-mt`` produce bit-identical :class:`SimdResult`\\ s
-to every other backend; when the toolchain is missing or the build
-fails the machine falls back to the NumPy kernels with a
-:class:`RuntimeWarning` and records what actually ran; and the shared
-library is content-addressed so warm runs never re-invoke the
-compiler.
+The contract under test (docs/internals.md §16): ``backend=native``
+produces bit-identical :class:`SimdResult`\\ s to every other backend;
+when the toolchain is missing, the build fails, or a cached library
+will not load even after a rebuild, the machine falls back to the
+NumPy kernels with a :class:`RuntimeWarning` and records what actually
+ran; and the shared library is content-addressed so warm runs never
+re-invoke the compiler.
 """
 
 import pickle
 import subprocess
+import warnings
 
 import numpy as np
 import pytest
@@ -30,16 +31,16 @@ requires_toolchain = pytest.mark.skipif(
     reason=nativert.unavailable_reason() or "")
 
 
-def run_native(result, npes, backend="native", active=None, shards=None):
+def run_native(result, npes, backend="native", active=None):
     machine = SimdMachine(npes=npes, costs=result.options.costs,
-                          backend=backend, shards=shards)
+                          backend=backend)
     return machine.run(result.simd_program(), active=active)
 
 
 @requires_toolchain
 class TestDifferential:
     """Acceptance: native bit-identical to kernels on all library
-    workloads × compress on/off (and sharded native-mt likewise)."""
+    workloads × compress on/off."""
 
     @pytest.mark.parametrize("name", sorted(STANDARD))
     @pytest.mark.parametrize("compress", (False, True))
@@ -50,18 +51,9 @@ class TestDifferential:
             active = npes // 2 if "spawn" in src else None
             ref = run_backends(result, npes, active=active,
                                backends=("kernels",))["kernels"]
-            for backend in ("native", "native-mt"):
-                shards = 4 if backend.endswith("-mt") else None
-                res = run_native(result, npes, backend=backend,
-                                 active=active, shards=shards)
-                assert res.backend_used == backend
-                assert_identical(res, ref, (name, compress, npes, backend))
-
-    def test_native_mt_genuinely_sharded(self):
-        result = convert_source(STANDARD["divergent_loops"]())
-        res = run_native(result, 33, backend="native-mt", shards=4)
-        assert res.backend_used == "native-mt"
-        assert res.shards == 4
+            res = run_native(result, npes, active=active)
+            assert res.backend_used == "native"
+            assert_identical(res, ref, (name, compress, npes))
 
     def test_single_pe(self):
         result = convert_source(STANDARD["mandelbrot"]())
@@ -83,27 +75,16 @@ class TestErrorReconstruction:
         assert msgs["native"] == msgs["kernels"]
         assert "zero" in msgs["native"]
 
-    def test_native_mt_error_matches_serial(self):
-        src = "main() { poly int x; x = 1 / (procnum - procnum); return (x); }"
-        result = convert_source(src)
-        with pytest.raises(MachineError) as serial:
-            run_native(result, 8, backend="native")
-        with pytest.raises(MachineError) as sharded:
-            run_native(result, 8, backend="native-mt", shards=4)
-        assert str(sharded.value) == str(serial.value)
-
 
 class TestFallbacks:
     """Satellite: compiler-missing and compile-failure paths must warn,
     record ``backend_used == "kernels"``, and stay bit-identical."""
 
-    def _expect_fallback(self, result, match, backend="native",
-                         expect_used="kernels"):
+    def _expect_fallback(self, result, match):
         ref = run_backends(result, 8, backends=("kernels",))["kernels"]
         with pytest.warns(RuntimeWarning, match=match):
-            res = run_native(result, 8, backend=backend,
-                             shards=4 if backend.endswith("-mt") else None)
-        assert res.backend_used == expect_used
+            res = run_native(result, 8)
+        assert res.backend_used == "kernels"
         assert_identical(res, ref, ("fallback", match))
         return res
 
@@ -143,12 +124,6 @@ class TestFallbacks:
         src = "main() { poly int x; x = procnum + 41; return (x); }"
         result = convert_source(src)
         self._expect_fallback(result, "build failed")
-
-    def test_native_mt_falls_back_to_kernels_mt(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NATIVE_DISABLE", "1")
-        result = convert_source(STANDARD["divergent_loops"]())
-        self._expect_fallback(result, "REPRO_NATIVE_DISABLE",
-                              backend="native-mt", expect_used="kernels-mt")
 
     @requires_toolchain
     def test_lazy_mode_documented_fallback(self):
@@ -208,6 +183,52 @@ class TestArtifactCache:
         a = nativert.artifact_key(nat)
         monkeypatch.setattr(nativert, "compiler_id", lambda: "other-cc 9")
         assert nativert.artifact_key(nat) != a
+
+
+@requires_toolchain
+class TestCorruptArtifact:
+    """A cached ``.so`` that will not ``dlopen`` is evicted and rebuilt
+    once; a rebuild that still will not load counts as a build failure
+    (warned fallback to ``kernels``), never as a crash."""
+
+    SRC = "main() { poly int x; x = procnum * 7 - 3; return (x); }"
+
+    def _fresh(self, monkeypatch):
+        # Nothing dlopen'd earlier in this process may satisfy the load.
+        monkeypatch.setattr(nativert, "_loaded", {})
+        result = convert_source(self.SRC)
+        ref = run_backends(result, 8, backends=("kernels",))["kernels"]
+        return result, ref
+
+    def test_corrupt_library_is_rebuilt(self, monkeypatch):
+        result, ref = self._fresh(monkeypatch)
+        so = nativert.build_shared(result.simd_program().native())
+        so.write_bytes(b"not a shared library")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run_native(result, 8)
+        assert res.backend_used == "native"
+        assert_identical(res, ref, "rebuilt")
+        assert so.read_bytes()[:4] == b"\x7fELF"
+
+    def test_garbage_rebuild_falls_back(self, monkeypatch):
+        result, ref = self._fresh(monkeypatch)
+        build = nativert.build_shared
+        builds = []
+
+        def garbage_build(nat):
+            so = build(nat)
+            so.write_bytes(b"garbage")
+            builds.append(so)
+            return so
+
+        monkeypatch.setattr(nativert, "build_shared", garbage_build)
+        with pytest.warns(RuntimeWarning, match="does not load"):
+            res = run_native(result, 8)
+        assert res.backend_used == "kernels"
+        assert_identical(res, ref, "garbage")
+        assert len(builds) == 2  # the first try and one rebuild
+        assert not builds[-1].exists()
 
 
 class TestNativeProgram:

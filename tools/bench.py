@@ -2,10 +2,9 @@
 """Backend benchmark: every library workload under every SIMD executor.
 
 Writes ``<bench-id>.json`` (``--bench-id``, default ``BENCH_9``) — per
-workload x backend (``native`` / ``native-mt`` / ``kernels`` /
-``kernels-mt`` / ``plan`` / ``plan-mt`` / ``interp``; the native rows
-are skipped, with a recorded ``skip_reason``, when no C toolchain is
-available): simulated cycles, best wall time, PE utilization, and meta
+workload x backend (``native`` / ``kernels`` / ``plan`` /
+``interp``; the native row is skipped, with a recorded
+``skip_reason``, when no C toolchain is available): simulated cycles, best wall time, PE utilization, and meta
 transitions — plus a ``scaling`` section timing
 the simulator-scaling workload at MasPar width (16K PEs), a ``lazy``
 section: warm lazy-vs-eager steady state on the scaling workload
@@ -24,9 +23,7 @@ large the concrete state space is.
 Every row asserts ``SimdResult.backend_used`` matches the backend it
 claims to measure, so a silent fallback can never mislabel a run.
 
-Every gate that is *not* enforced records an explicit ``skip_reason``
-(and the host ``cpu_count``), so a passing bench on a 1-CPU host can
-never be mistaken for a measured multi-core result.
+A gate that is *not* enforced records an explicit ``skip_reason``.
 
 Exit status is nonzero if
 
@@ -36,14 +33,6 @@ Exit status is nonzero if
 - ``native`` is slower than ``kernels`` on the scaling workload —
   enforced whenever the toolchain is available (the whole point of the
   C emission is beating the NumPy kernels' per-node dispatch),
-- ``native-mt`` (at ``--shards``) fails the >= 1.5x speedup over
-  serial ``native`` on the scaling workload — enforced when native is
-  available and the host has >= 4 CPUs (or ``--require-mt-speedup``);
-  recorded with a ``skip_reason`` otherwise, or
-- ``kernels-mt`` (at ``--shards``, default 4) fails the >= 1.5x
-  speedup over serial ``kernels`` on the scaling workload — enforced
-  when the host has >= 4 CPUs (or ``--require-mt-speedup``); recorded
-  with a ``skip_reason`` otherwise, or
 - simulated cycles regressed against the latest prior ``BENCH_*.json``
   (cycles are machine-independent, so they are comparable across
   hosts; wall times are not), or
@@ -58,8 +47,8 @@ Exit status is nonzero if
 Usage::
 
     python tools/bench.py [--bench-id BENCH_9] [--out PATH]
-                          [--npes 1024] [--reps 3] [--shards 4]
-                          [--scaling-npes 16384] [--require-mt-speedup]
+                          [--npes 1024] [--reps 3]
+                          [--scaling-npes 16384]
 """
 
 from __future__ import annotations
@@ -94,12 +83,11 @@ main() {
 """
 
 MAX_STEPS = 1_000_000
-MT_SPEEDUP_THRESHOLD = 1.5
 LAZY_OVERHEAD_THRESHOLD = 1.10
 #: Machine width for the explosion rows: per-state expansion is 3^b in
 #: the *visited* state's branch-member count, which scales with how
 #: divergent the PE population is — 8 PEs keeps every visited state
-#: narrow (see docs/internals.md section 14).
+#: narrow (see docs/internals.md section 13).
 EXPLOSION_NPES = 8
 #: Newly explored states the verifier row may expand per workload.
 VERIFIER_BUDGET = 25_000
@@ -115,11 +103,10 @@ ABSINT_WALL_LIMIT_S = 1.0
 
 
 def _bench_one(result, backend: str, npes: int, active: int | None,
-               reps: int, shards: int) -> dict:
+               reps: int) -> dict:
     prog = result.simd_program()
-    machine = SimdMachine(
-        npes=npes, costs=result.options.costs, backend=backend,
-        shards=shards if backend.endswith("-mt") else None)
+    machine = SimdMachine(npes=npes, costs=result.options.costs,
+                          backend=backend)
     res = machine.run(prog, active=active, max_steps=MAX_STEPS)  # warm
     if res.backend_used != backend:
         raise SystemExit(
@@ -136,27 +123,25 @@ def _bench_one(result, backend: str, npes: int, active: int | None,
         "utilization": round(res.utilization, 6),
         "meta_transitions": res.meta_transitions,
         "backend_used": res.backend_used,
-        "shards": res.shards,
     }
 
 
 def _backends_here() -> tuple[str, ...]:
-    """The backends this host can measure: the native pair drops out
+    """The backends this host can measure: native drops out
     (recorded via the gates' ``skip_reason``) when no toolchain/cffi is
     available — a skipped row beats a mislabeled one."""
     if nativert.native_available():
         return BACKENDS
-    return tuple(be for be in BACKENDS if not be.startswith("native"))
+    return tuple(be for be in BACKENDS if be != "native")
 
 
-def _bench_workload(name: str, source: str, npes: int, reps: int,
-                    shards: int) -> dict:
+def _bench_workload(name: str, source: str, npes: int, reps: int) -> dict:
     result = convert_source(source, ConversionOptions())
     result.simd_program().plan()
     result.simd_program().kernels()
     result.simd_program().native()
     active = npes // 2 if "spawn" in source else None
-    rows = {be: _bench_one(result, be, npes, active, reps, shards)
+    rows = {be: _bench_one(result, be, npes, active, reps)
             for be in _backends_here()}
     ref = rows["interp"]
     for be, row in rows.items():
@@ -369,19 +354,13 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--scaling-npes", type=int, default=16384,
                     help="machine width for the scaling check")
     ap.add_argument("--reps", type=int, default=3)
-    ap.add_argument("--shards", type=int, default=4,
-                    help="shard count for the -mt backends")
-    ap.add_argument("--require-mt-speedup", action="store_true",
-                    help="fail if kernels-mt misses the scaling-speedup "
-                         "threshold even on a host with < 4 CPUs "
-                         "(default: enforced only when >= 4 CPUs)")
     args = ap.parse_args(argv)
     out = Path(args.out if args.out else f"{args.bench_id}.json")
 
     workloads: dict[str, dict] = {}
     for name, make in sorted(STANDARD.items()):
         workloads[name] = _bench_workload(name, make(), args.npes,
-                                          args.reps, args.shards)
+                                          args.reps)
         rows = workloads[name]
         fastest = min(rows, key=lambda b: rows[b]["wall_ms"])
         print(f"{name:24s} " + "  ".join(
@@ -389,42 +368,27 @@ def main(argv: list[str] | None = None) -> int:
             + f"  fastest={fastest}")
 
     scaling = _bench_workload("scaling", SCALING_WORKLOAD,
-                              args.scaling_npes, args.reps, args.shards)
+                              args.scaling_npes, args.reps)
     kern_ms = scaling["kernels"]["wall_ms"]
-    kern_mt_ms = scaling["kernels-mt"]["wall_ms"]
     plan_ms = scaling["plan"]["wall_ms"]
     interp_ms = scaling["interp"]["wall_ms"]
     speedup_plan = plan_ms / kern_ms
     speedup_interp = interp_ms / kern_ms
-    speedup_mt = kern_ms / kern_mt_ms
     cpus = os.cpu_count() or 1
-    mt_enforced = args.require_mt_speedup or cpus >= 4
-    mt_skip_reason = (None if mt_enforced else
-                      f"host has {cpus} CPU(s) (< 4); wall-clock mt "
-                      f"speedup is not measurable here")
     print(f"{'scaling':24s} kernels={kern_ms:.2f}ms "
-          f"kernels-mt={kern_mt_ms:.2f}ms plan={plan_ms:.2f}ms "
-          f"interp={interp_ms:.2f}ms -> kernels {speedup_plan:.2f}x vs "
-          f"plan, {speedup_interp:.2f}x vs interp; kernels-mt "
-          f"{speedup_mt:.2f}x vs kernels at {args.shards} shards "
+          f"plan={plan_ms:.2f}ms interp={interp_ms:.2f}ms -> kernels "
+          f"{speedup_plan:.2f}x vs plan, {speedup_interp:.2f}x vs interp "
           f"({args.scaling_npes} PEs, {cpus} CPUs)")
 
     native_reason = nativert.unavailable_reason()
     if native_reason is None:
         native_ms = scaling["native"]["wall_ms"]
-        native_mt_ms = scaling["native-mt"]["wall_ms"]
         speedup_native = kern_ms / native_ms
-        speedup_native_mt = native_ms / native_mt_ms
-        print(f"{'scaling (native)':24s} native={native_ms:.2f}ms "
-              f"native-mt={native_mt_ms:.2f}ms -> native "
-              f"{speedup_native:.2f}x vs kernels; native-mt "
-              f"{speedup_native_mt:.2f}x vs native")
+        print(f"{'scaling (native)':24s} native={native_ms:.2f}ms -> "
+              f"native {speedup_native:.2f}x vs kernels")
     else:
-        native_ms = native_mt_ms = None
-        speedup_native = speedup_native_mt = None
+        speedup_native = None
         print(f"{'scaling (native)':24s} skipped: {native_reason}")
-    native_mt_enforced = native_reason is None and mt_enforced
-    native_mt_skip_reason = native_reason or mt_skip_reason
 
     lazy = _bench_lazy(args.scaling_npes, args.reps)
     steady = lazy["steady_state"]
@@ -468,7 +432,6 @@ def main(argv: list[str] | None = None) -> int:
         "npes": args.npes,
         "scaling_npes": args.scaling_npes,
         "reps": args.reps,
-        "shards": args.shards,
         "cpu_count": cpus,
         "python": platform.python_version(),
         "machine": platform.machine(),
@@ -480,21 +443,9 @@ def main(argv: list[str] | None = None) -> int:
             "rows": scaling,
             "kernels_vs_plan": round(speedup_plan, 3),
             "kernels_vs_interp": round(speedup_interp, 3),
-            "kernels_mt_vs_kernels": round(speedup_mt, 3),
             "native_vs_kernels": (
                 round(speedup_native, 3)
                 if speedup_native is not None else None),
-            "native_mt_vs_native": (
-                round(speedup_native_mt, 3)
-                if speedup_native_mt is not None else None),
-        },
-        "mt_gate": {
-            "threshold": MT_SPEEDUP_THRESHOLD,
-            "speedup": round(speedup_mt, 3),
-            "cpu_count": cpus,
-            "enforced": mt_enforced,
-            "skip_reason": mt_skip_reason,
-            "passed": speedup_mt >= MT_SPEEDUP_THRESHOLD,
         },
         "native_gate": {
             # native must beat the NumPy kernels on the scaling
@@ -506,17 +457,6 @@ def main(argv: list[str] | None = None) -> int:
             "skip_reason": native_reason,
             "passed": (speedup_native >= 1.0
                        if speedup_native is not None else None),
-        },
-        "native_mt_gate": {
-            "threshold": MT_SPEEDUP_THRESHOLD,
-            "speedup": (round(speedup_native_mt, 3)
-                        if speedup_native_mt is not None else None),
-            "cpu_count": cpus,
-            "enforced": native_mt_enforced,
-            "skip_reason": (None if native_mt_enforced
-                            else native_mt_skip_reason),
-            "passed": (speedup_native_mt >= MT_SPEEDUP_THRESHOLD
-                       if speedup_native_mt is not None else None),
         },
         "prior": {
             "bench": prior_path.name if prior_path else None,
@@ -531,30 +471,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"FAIL: kernels backend slower than plan on the scaling "
               f"workload ({speedup_plan:.2f}x)", file=sys.stderr)
         status = 1
-    if speedup_mt < MT_SPEEDUP_THRESHOLD:
-        msg = (f"kernels-mt at {args.shards} shards is only "
-               f"{speedup_mt:.2f}x vs serial kernels on the scaling "
-               f"workload (threshold {MT_SPEEDUP_THRESHOLD}x)")
-        if mt_enforced:
-            print(f"FAIL: {msg}", file=sys.stderr)
-            status = 1
-        else:
-            print(f"note: {msg}; not enforced on a {cpus}-CPU host")
     if native_reason is None and speedup_native < 1.0:
         print(f"FAIL: native backend slower than the NumPy kernels on "
               f"the scaling workload ({speedup_native:.2f}x)",
               file=sys.stderr)
         status = 1
-    if (speedup_native_mt is not None
-            and speedup_native_mt < MT_SPEEDUP_THRESHOLD):
-        msg = (f"native-mt at {args.shards} shards is only "
-               f"{speedup_native_mt:.2f}x vs serial native on the "
-               f"scaling workload (threshold {MT_SPEEDUP_THRESHOLD}x)")
-        if native_mt_enforced:
-            print(f"FAIL: {msg}", file=sys.stderr)
-            status = 1
-        else:
-            print(f"note: {msg}; not enforced on a {cpus}-CPU host")
     for problem in prior_problems:
         print(f"FAIL: {problem}", file=sys.stderr)
         status = 1
