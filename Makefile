@@ -10,11 +10,11 @@ test:
 props:
 	$(PY) -m pytest tests/test_properties.py tests/test_csi_exact.py -q
 
-# Backend benchmark (all four executors over the workload library +
+# Backend benchmark (all three executors over the workload library +
 # the 16K-PE scaling check); writes BENCH_9.json and fails if the
-# fused kernels are slower than the plan executor, if the native C
-# kernels are slower than the NumPy kernels (when a toolchain is
-# available), if simulated cycles regressed against the latest prior
+# fused kernels are slower than the interpretive executor, if the
+# native C kernels are slower than the NumPy kernels (when a toolchain
+# is available), if simulated cycles regressed against the latest prior
 # BENCH_*.json, or if the frontier verifier misses its wall-time gate
 # on an explosion workload.
 bench:

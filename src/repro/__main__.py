@@ -155,8 +155,8 @@ def _add_backend_flag(p: argparse.ArgumentParser) -> None:
                         "native = cffi-compiled C kernels, the fastest "
                         "(falls back to kernels without a C toolchain); "
                         "kernels = fused NumPy kernels, the default and "
-                        "the --lazy executor; plan = table executor "
-                        "that records traces; interp = the spec oracle")
+                        "the --lazy executor; interp = the spec oracle, "
+                        "the only one that records traces")
 
 
 def _read(path: str) -> str:

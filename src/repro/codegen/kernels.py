@@ -4,11 +4,12 @@ NumPy code for each meta-state automaton node.
 The paper's argument against interpretation — "only the SIMD control
 unit needs to have a copy of the meta-state automaton; PEs merely hold
 data" (section 1.3) — applies to the *host* simulator too: the
-table-driven executor of :mod:`repro.codegen.plan` still walks an
+interpretive executor (``SimdMachine._exec_segment``) walks an
 instruction list through the ~30-way opcode dispatch of
-:func:`repro.simd.vecops.exec_instr_at`, re-enters an ``np.errstate``
-context per instruction, and looks costs up per entry. This module
-removes that last layer of interpretation: for every
+:func:`repro.simd.vecops.exec_instr`, re-enters an ``np.errstate``
+context per instruction, reads the per-PE stack pointers, and looks
+costs up per entry. This module removes that layer of interpretation:
+for every
 :class:`~repro.codegen.plan.NodePlan` it emits one Python function that
 executes the whole node, then ``compile()``\\ s the module once per
 program. In the generated code
@@ -45,7 +46,7 @@ program. In the generated code
 
 The kernels change *nothing* about results or the simulated cost
 model: ``SimdMachine`` produces bit-identical :class:`SimdResult`\\ s
-across the ``kernels`` / ``plan`` / ``interp`` backends. One documented
+across the ``native`` / ``kernels`` / ``interp`` backends. One documented
 divergence exists on *failing* runs only: which of several possible
 :class:`~repro.errors.MachineError`\\ s surfaces first. Overflow checks
 are hoisted to the segment top (a segment that would raise both a
@@ -83,7 +84,7 @@ from repro.ir.instr import BINARY_OPS, UNARY_OPS, Instr, Op
 KERNEL_VERSION = 2
 
 #: Ops that push one value and therefore carry an overflow check in
-#: :func:`repro.simd.vecops.exec_instr_at` (``_over(1)``).
+#: :func:`repro.simd.vecops.exec_instr` (``_over(1)``).
 _PUSHING_OPS = frozenset({Op.PUSH, Op.DUP, Op.LD, Op.LDM, Op.PROCNUM,
                           Op.NPROC, Op.RPOP})
 
@@ -145,7 +146,7 @@ _E = rt.EMPTY
 
 class KernelUnsupported(Exception):
     """Raised internally when one node cannot be kernelized; the node
-    simply stays on the table-driven path."""
+    simply runs on the machine's interpretive segment executor."""
 
 
 @dataclass
@@ -200,8 +201,8 @@ def compile_kernels(prog) -> KernelProgram | None:
     """Generate the fused kernel module for ``prog`` (a
     :class:`~repro.codegen.emit.SimdProgram`), or ``None`` when the
     program's static stack depths are unresolvable (hand-built graphs
-    with inconsistent paths) — the machine then stays on the
-    table-driven plan path."""
+    with inconsistent paths) — the machine then runs the ``interp``
+    backend."""
     plan = prog.plan()
     if plan.static_depths is None:
         return None
@@ -222,7 +223,7 @@ def compile_node_kernel(prog, plan, key, idx: int):
     self-contained module compiling to exactly ``fn`` (what a resumed
     or cache-loaded manager re-execs instead of regenerating), or
     ``None`` when this node cannot be kernelized — the machine then
-    runs it on the table-driven plan path, exactly like an eager
+    runs it on the interpretive segment executor, exactly like an eager
     program whose :class:`KernelProgram` skipped the node."""
     if plan.static_depths is None:
         return None
@@ -866,7 +867,7 @@ class _Generator:
     def _emit_op(self, w, instr: Instr, lv: str, depth: int | None) -> None:
         """Inline the semantics of one instruction for lanes ``lv`` at
         static ``depth`` (or the per-lane vector ``dv`` when ``None``),
-        mirroring :func:`repro.simd.vecops.exec_instr_at` expression for
+        mirroring :func:`repro.simd.vecops.exec_instr` expression for
         expression."""
         op = instr.op
 

@@ -39,7 +39,7 @@ reconstruct the exact :class:`~repro.errors.MachineError`; simulation
 is deterministic, so the predicate — *whether* a run fails — matches
 the NumPy kernels exactly, only which of several errors surfaces first
 may differ (the same documented divergence the NumPy kernels have
-against the plan executor).
+against the interpretive executor).
 
 Generated functions are width-agnostic like the NumPy kernels: lane
 indices are always relative to the ``pc`` pointer the function was
@@ -482,7 +482,7 @@ class _CGenerator:
 
     def _sym_op(self, w, sym, instr: Instr, d: int) -> None:
         """One instruction against the per-lane symbolic stack —
-        same semantics as :func:`repro.simd.vecops.exec_instr_at`,
+        same semantics as :func:`repro.simd.vecops.exec_instr`,
         element for element."""
         op = instr.op
         val, newt = sym.val, sym.newt

@@ -1,28 +1,24 @@
-"""Precompiled execution plans for the SIMD machine hot path.
+"""The plan IR: dense per-segment tables the code generators compile from.
 
 A :class:`~repro.codegen.emit.SimdProgram` is fixed once emitted — the
 guard of every schedule entry, the terminator of every member, the
 operand-stack depth at every point of every block body, and the bit
-weight of every ``pc`` value are all compile-time constants. The plan
-layer lowers that structure into dense tables once per program so the
-per-meta-step work of the simulator becomes array gathers instead of
-per-entry ``np.isin`` calls and per-member ``isinstance`` chains (the
-same fixed-transition-structure observation data-parallel automata
-runners exploit):
+weight of every ``pc`` value are all compile-time constants. This
+module lowers that structure into dense tables once per program. The
+fused NumPy kernels (:mod:`repro.codegen.kernels`) and the native C
+kernels (:mod:`repro.codegen.native`) are generated from them, and the
+machine's ``globalor`` reads the bit-weight table. No executor
+interprets the tables: a node a generator skips runs on the
+interpretive segment executor of :class:`~repro.simd.machine.
+SimdMachine` instead. The tables are
 
-- **entry sources** — each schedule entry is classified as
-  single-member, all-members, or a guard row (a ``pc``-indexed uint8
-  mask); at run time the enabled index set is reused from the
-  per-member lane lists for the first two (the overwhelmingly common
-  cases) and is one small-table gather for the third;
-- **static depths** — the operand-stack depth of every guard member at
-  every entry is precompiled relative to the segment entry, so body
-  execution never reads or scatters the per-PE stack pointers;
-  they are written back once per member at the segment boundary
-  (:func:`repro.simd.vecops.exec_instr_at` is the sp-free twin of
-  ``exec_instr``);
-- **terminator tables** — per-member (kind code, on_true, on_false)
-  triples replacing the ``isinstance`` dispatch;
+- **guard tables** — per schedule entry, the member indices in its
+  guard and each one's operand-stack depth relative to the segment
+  entry (what lets the generators give every entry a static stack
+  row);
+- **terminator tables** — per member, the net body stack delta and a
+  (kind code, on_true, on_false) triple replacing the ``isinstance``
+  dispatch;
 - **bit weights** — the ``bid -> 1 << bid`` table (object dtype once
   ids exceed an int64 word) making ``globalor`` one
   ``bitwise_or.reduce`` over the live lanes;
@@ -31,14 +27,14 @@ runners exploit):
   compile-time constant (the CFG verifier guarantees consistency; spawn
   children restart at depth 0). Each entry's stack row is then a
   precomputed scalar — or, when a CSI entry is shared by members at
-  different depths, a precomputed per-bid table — so neither the plan
-  executor nor the fused kernels (:mod:`repro.codegen.kernels`) ever
-  reads ``st.sp`` during a body.
+  different depths, a precomputed per-bid table — so the generated
+  kernels never read ``st.sp`` during a body. When the dataflow cannot
+  resolve the depths (hand-built programs) no kernels are generated and
+  the machine runs the ``interp`` backend.
 
-Plans change *nothing* about the simulated cost model: the machine
-charges exactly the same cycles per entry and per terminator; only the
-host-side bookkeeping gets cheaper. ``SimdMachine(backend="interp")``
-keeps the original interpretive executor as a differential oracle.
+Plans change *nothing* about the simulated cost model: the generated
+code charges exactly the cycles the interpretive executor does, and
+``SimdMachine(backend="interp")`` is the differential oracle.
 """
 
 from __future__ import annotations
@@ -59,12 +55,6 @@ K_RET = 3
 K_HALT = 4
 K_SPAWN = 5
 
-#: Entry-source codes: where the enabled lane set of a schedule entry
-#: comes from.
-SRC_SINGLE = 0   # one member: reuse its lane list
-SRC_ALL = 1      # every member: reuse the segment's live-lane list
-SRC_SUBSET = 2   # a strict subset: gather the guard row by pc
-
 #: Ops whose effect is visible across lanes: mono writes (broadcast,
 #: highest-indexed writer wins over the whole enabled set) and router
 #: reads/writes. Everything else touches only the executing PE's column
@@ -82,8 +72,6 @@ class SegmentPlan:
 
     member_bids: tuple          # sorted member block ids
     instrs: tuple               # schedule entries' instructions, in order
-    src_modes: tuple            # per entry: SRC_SINGLE / SRC_ALL / SRC_SUBSET
-    src_args: tuple             # per entry: member index | None | uint8 guard row
     guard_members: tuple        # per entry: member indices in its guard
     rel_depths: tuple           # per entry: depth before it, per guard member,
                                 # relative to the member's segment-entry depth
@@ -131,9 +119,6 @@ class ProgramPlan:
             "plan_nodes": len(self.nodes),
             "plan_segments": len(segments),
             "plan_entries": sum(len(sp.instrs) for sp in segments),
-            "plan_guard_rows": sum(
-                1 for sp in segments for m in sp.src_modes if m == SRC_SUBSET
-            ),
             "plan_static_depths": int(self.static_depths is not None),
             "plan_depth_tables": sum(
                 1 for sp in segments for t in (sp.depth_tables or ())
@@ -154,7 +139,7 @@ def compile_plan(prog) -> ProgramPlan:
         weights = np.array([1 << b for b in range(n_bids)], dtype=object)
     plan = ProgramPlan(n_bids=n_bids, bit_weights=weights)
     for key, node in prog.nodes.items():
-        segments = [_compile_segment(seg, n_bids) for seg in node.segments]
+        segments = [_compile_segment(seg) for seg in node.segments]
         plan.nodes[key] = NodePlan(segments=segments)
     plan.static_depths = _entry_depth_dataflow(prog, plan)
     if plan.static_depths is not None:
@@ -170,7 +155,7 @@ def incremental_plan(cfg) -> ProgramPlan:
 
     Eager compiles derive ``n_bids`` from the finished program
     (:func:`_max_bid`); a partial program grows, so the lazy manager
-    sizes the bit-weight and guard tables from the CFG's largest block
+    sizes the bit-weight and depth tables from the CFG's largest block
     id up front (every meta-state member is a CFG block, so the bound
     holds for every node that can ever appear). ``static_depths``
     comes from :func:`cfg_entry_depths`, the whole-CFG twin of
@@ -193,7 +178,7 @@ def compile_node_plan(node, n_bids: int,
     program-wide (or CFG-wide, see :func:`cfg_entry_depths`) entry
     depth map; when given, the per-entry depth scalars/tables are
     attached exactly as the eager path does."""
-    segments = [_compile_segment(seg, n_bids) for seg in node.segments]
+    segments = [_compile_segment(seg) for seg in node.segments]
     nplan = NodePlan(segments=segments)
     if static_depths is not None:
         for sp in segments:
@@ -319,29 +304,15 @@ def _attach_static_depths(sp: SegmentPlan, depths: dict,
     sp.depth_tables = tuple(tables)
 
 
-def _compile_segment(seg, n_bids: int) -> SegmentPlan:
+def _compile_segment(seg) -> SegmentPlan:
     members = tuple(sorted(seg.members))
     index_of = {bid: j for j, bid in enumerate(members)}
-    all_set = frozenset(members)
 
-    src_modes = []
-    src_args = []
     guard_members = []
     rel_depths = []
     depth = {bid: 0 for bid in members}
     for entry in seg.schedule.entries:
         guards = sorted(entry.guards)
-        if len(guards) == 1:
-            src_modes.append(SRC_SINGLE)
-            src_args.append(index_of[guards[0]])
-        elif entry.guards == all_set:
-            src_modes.append(SRC_ALL)
-            src_args.append(None)
-        else:
-            row = np.zeros(n_bids + 1, dtype=np.uint8)
-            row[list(guards)] = 1
-            src_modes.append(SRC_SUBSET)
-            src_args.append(row)
         guard_members.append(tuple(index_of[b] for b in guards))
         rel_depths.append(tuple(depth[b] for b in guards))
         delta = entry.instr.stack_delta()
@@ -386,8 +357,6 @@ def _compile_segment(seg, n_bids: int) -> SegmentPlan:
     return SegmentPlan(
         member_bids=members,
         instrs=tuple(e.instr for e in seg.schedule.entries),
-        src_modes=tuple(src_modes),
-        src_args=tuple(src_args),
         guard_members=tuple(guard_members),
         rel_depths=tuple(rel_depths),
         total_delta=tuple(depth[bid] for bid in members),

@@ -269,9 +269,9 @@ def simulate_simd(result: ConversionResult, npes: int, *,
     the free pool for ``spawn`` to claim); default all. ``backend``
     picks the executor: ``"kernels"`` (fused generated code, the
     default), ``"native"`` (cffi-compiled C kernels, falling back to
-    ``"kernels"`` with a warning when no toolchain is available),
-    ``"plan"`` (dense-table executor), or ``"interp"`` (the
-    interpretive reference) — bit-identical results across all four;
+    ``"kernels"`` with a warning when no toolchain is available), or
+    ``"interp"`` (the interpretive reference) — bit-identical results
+    across all three;
     the returned result's ``backend_used`` records which one actually
     ran (a downgrade also warns). The precompiled plan, the
     generated kernel source, and the generated C source travel with

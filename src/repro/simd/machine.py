@@ -37,6 +37,15 @@ PC_DONE = -2
 PC_IDLE = -1
 
 
+def _downgrade(reason: str, fallback: str) -> str:
+    """Warn that the requested backend cannot run (``reason``) and
+    return the ``fallback`` that will — the one shape every downgrade
+    takes, so each is visible and recorded in ``backend_used``."""
+    warnings.warn(f"{reason}; running {fallback!r} instead",
+                  RuntimeWarning, stacklevel=4)
+    return fallback
+
+
 @dataclass
 class SimdResult:
     """Outcome + accounting of a meta-state SIMD run.
@@ -49,9 +58,9 @@ class SimdResult:
     the per-node execution counts.
 
     ``backend_used`` names the executor that actually ran: it equals
-    the requested backend unless the machine had to fall back (trace
-    enabled, no compiled kernels, or a foreign cost model — each
-    downgrade also emits a :class:`RuntimeWarning`).
+    the requested backend unless the machine had to fall back (native
+    build unavailable, trace enabled, no compiled kernels, or a foreign
+    cost model — each downgrade also emits a :class:`RuntimeWarning`).
     """
 
     npes: int
@@ -82,13 +91,15 @@ class SimdResult:
         return self.transition_cycles / self.cycles
 
 
-#: The selectable node-body executors, fastest first — all four
+#: The selectable node-body executors, fastest first — all three
 #: produce bit-identical :class:`SimdResult`\s. Each has one role:
 #: ``native`` is the fastest (cffi-compiled C kernels,
 #: :mod:`repro.codegen.native`); ``kernels`` runs where there is no C
-#: toolchain and under lazy conversion; ``plan`` records traces and is
-#: the IR the kernels compile from; ``interp`` is the spec oracle.
-BACKENDS = ("native", "kernels", "plan", "interp")
+#: toolchain and under lazy conversion; ``interp`` is the spec oracle,
+#: records per-PE traces, and runs whatever the generated code cannot.
+#: Both code generators compile from the same plan tables
+#: (:mod:`repro.codegen.plan`), which no executor interprets.
+BACKENDS = ("native", "kernels", "interp")
 
 
 def resolve_backend(backend: str | None = None) -> str:
@@ -118,7 +129,7 @@ class SimdMachine:
     stack_depth / rstack_depth:
         Operand and return-selector stack sizes per PE.
     backend:
-        Which executor runs the node bodies — all four produce
+        Which executor runs the node bodies — all three produce
         bit-identical :class:`SimdResult`\\ s:
 
         - ``"native"``: per-node C functions generated by
@@ -134,16 +145,15 @@ class SimdMachine:
           what actually ran.
         - ``"kernels"`` (default): fused per-node functions generated by
           :mod:`repro.codegen.kernels` — one compiled kernel executes a
-          whole node. Falls back to ``"plan"`` with a
+          whole node. Falls back to ``"interp"`` with a
           :class:`RuntimeWarning` when the kernels are unusable
           (tracing on, cost model differs from the one the program was
           emitted with, or unresolvable static depths); the run's
           :attr:`SimdResult.backend_used` records what actually ran.
-        - ``"plan"``: the table-driven executor of
-          :mod:`repro.codegen.plan` — records traces, and its tables
-          are the IR the kernels compile from.
-        - ``"interp"``: the original interpretive executor — the
-          differential oracle.
+          A single node the generator skipped runs on the interpretive
+          path while the rest stay compiled.
+        - ``"interp"``: the interpretive executor — the differential
+          oracle, and the only one that records per-PE traces.
     """
 
     BACKENDS = BACKENDS
@@ -171,9 +181,10 @@ class SimdMachine:
 
         ``plan`` supplies a precompiled
         :class:`~repro.codegen.plan.ProgramPlan` for ``prog`` (e.g. the
-        one the stage pipeline produced and cached); when omitted and
-        the backend is not ``interp``, the program's own cached plan is
-        used — either way nothing is rebuilt per run.
+        one the stage pipeline produced and cached); the compiled
+        backends read its bit-weight table for ``globalor``. When
+        omitted and the backend is not ``interp``, the program's own
+        cached plan is used — either way nothing is rebuilt per run.
 
         ``miss_handler`` enables lazy conversion: a
         :class:`~repro.codegen.lazy.LazyProgram` whose ``fetch(state,
@@ -210,82 +221,65 @@ class SimdMachine:
     def _effective_backend(self, prog: SimdProgram,
                            miss_handler=None) -> str:
         """Resolve the backend that will actually run ``prog`` —
-        warning on every downgrade (the pre-PR-6 machine fell back
-        silently, so benchmarks could mislabel runs)."""
+        warning on every downgrade so a run is never mislabeled."""
         backend = self.backend
         self._nfns = None
-        if self.trace_enabled and backend not in ("plan", "interp"):
-            warnings.warn(
-                f"backend {backend!r} records no per-PE trace; running "
-                f"'plan' instead", RuntimeWarning, stacklevel=3)
-            return "plan"
+        if self.trace_enabled and backend != "interp":
+            return _downgrade(f"backend {backend!r} records no per-PE "
+                              f"trace", "interp")
         if backend == "native":
-            from repro.simd import nativert
-
-            reason = None
-            if miss_handler is not None:
-                # Documented per-node fallback: lazy conversion
-                # discovers nodes mid-run, and invoking the C compiler
-                # per discovered node would cost far more than it
-                # saves, so lazy runs use the NumPy kernel JIT.
-                reason = ("lazy conversion compiles nodes as they are "
-                          "discovered, which the native backend does "
-                          "not support")
-            if reason is None:
-                reason = nativert.unavailable_reason()
-            nat = None
-            if reason is None:
-                nat = prog.native()
-                if nat is None:
-                    reason = ("program has no native kernels (static "
-                              "stack depths unresolvable)")
-                elif nat.costs != self.costs:
-                    reason = ("native kernels fold a different cost "
-                              "model into their constants than this "
-                              "machine's")
-            if reason is None:
-                try:
-                    self._nfns = nativert.load_native(nat)
-                except nativert.NativeBuildError as err:
-                    reason = f"native kernel build failed: {err}"
+            reason = self._native_unusable(prog, miss_handler)
             if reason is None:
                 return backend
-            warnings.warn(f"{reason}; running 'kernels' instead",
-                          RuntimeWarning, stacklevel=3)
-            backend = "kernels"  # cascade through the kernels checks
+            backend = _downgrade(reason, "kernels")  # cascade below
         if backend == "kernels":
-            fallback = "plan"
+            # Lazy mode JIT-compiles kernels per node in the handler,
+            # so only its global feasibility is checked up front.
             if miss_handler is not None:
-                # Lazy mode: kernels are JIT-compiled per node by the
-                # handler; only global feasibility is checked up front.
-                if not miss_handler.supports_kernels:
-                    warnings.warn(
-                        f"program has no compiled kernels (static stack "
-                        f"depths unresolvable); running {fallback!r} "
-                        f"instead", RuntimeWarning, stacklevel=3)
-                    return fallback
-                if miss_handler.costs != self.costs:
-                    warnings.warn(
-                        f"kernels fold a different cost model into their "
-                        f"constants than this machine's; running "
-                        f"{fallback!r} instead", RuntimeWarning,
-                        stacklevel=3)
-                    return fallback
-                return backend
-            kern = prog.kernels()
-            if kern is None:
-                warnings.warn(
-                    f"program has no compiled kernels (static stack "
-                    f"depths unresolvable); running {fallback!r} instead",
-                    RuntimeWarning, stacklevel=3)
-                return fallback
-            if kern.costs != self.costs:
-                warnings.warn(
-                    f"kernels fold a different cost model into their "
-                    f"constants than this machine's; running "
-                    f"{fallback!r} instead", RuntimeWarning, stacklevel=3)
-                return fallback
+                supported = miss_handler.supports_kernels
+                costs = miss_handler.costs
+            else:
+                kern = prog.kernels()
+                supported = kern is not None
+                costs = kern.costs if supported else None
+            if not supported:
+                return _downgrade("program has no compiled kernels (static "
+                                  "stack depths unresolvable)", "interp")
+            if costs != self.costs:
+                return _downgrade("kernels fold a different cost model "
+                                  "into their constants than this "
+                                  "machine's", "interp")
         return backend
+
+    def _native_unusable(self, prog: SimdProgram,
+                         miss_handler=None) -> str | None:
+        """Why the native kernels cannot run ``prog`` here, or ``None``
+        after loading them into ``self._nfns``."""
+        from repro.simd import nativert
+
+        if miss_handler is not None:
+            # Documented per-node fallback: lazy conversion discovers
+            # nodes mid-run, and invoking the C compiler per discovered
+            # node would cost far more than it saves, so lazy runs use
+            # the NumPy kernel JIT.
+            return ("lazy conversion compiles nodes as they are "
+                    "discovered, which the native backend does not "
+                    "support")
+        reason = nativert.unavailable_reason()
+        if reason is not None:
+            return reason
+        nat = prog.native()
+        if nat is None:
+            return ("program has no native kernels (static stack depths "
+                    "unresolvable)")
+        if nat.costs != self.costs:
+            return ("native kernels fold a different cost model into "
+                    "their constants than this machine's")
+        try:
+            self._nfns = nativert.load_native(nat)
+        except nativert.NativeBuildError as err:
+            return f"native kernel build failed: {err}"
+        return None
 
     def _initial_state(self, prog: SimdProgram,
                        active: int) -> tuple[vecops.PeState, np.ndarray]:
@@ -346,8 +340,9 @@ class SimdMachine:
         # by _effective_backend). Lazy mode reads the handler's live
         # kernel dict, which fetch() fills per discovered node. The
         # native executor uses the same per-node callable contract, so
-        # it shares the kernel dispatch below; nodes the C generator
-        # skipped fall through to the plan executor lane-identically.
+        # it shares the kernel dispatch below; nodes a generator
+        # skipped fall through to the interpretive segment executor
+        # lane-identically.
         if backend == "kernels":
             kfns = (miss_handler.kfns if miss_handler is not None
                     else prog.kernels().fns)
@@ -377,14 +372,9 @@ class SimdMachine:
                 if exited:
                     break
             else:
-                nplan = plan.nodes[current] if plan is not None else None
                 exited = False
-                for i, seg in enumerate(node.segments):
-                    if nplan is not None:
-                        c, e = self._exec_segment_plan(nplan.segments[i], pc,
-                                                       st, trace, steps)
-                    else:
-                        c, e = self._exec_segment(seg, pc, st, trace, steps)
+                for seg in node.segments:
+                    c, e = self._exec_segment(seg, pc, st, trace, steps)
                     cycles += c
                     body_cycles += c
                     enabled_pe_cycles += e
@@ -441,7 +431,8 @@ class SimdMachine:
 
         With a compiled plan this is one gather through the
         precomputed bit-weight table plus a ``bitwise_or`` reduction;
-        the pre-plan path stays as the slow reference."""
+        the ``interp`` backend keeps the table-free loop as the
+        reference."""
         live = pc[pc >= 0]
         if live.size == 0:
             return 0
@@ -451,132 +442,6 @@ class SimdMachine:
         for bid in np.unique(live):
             apc |= 1 << int(bid)
         return apc
-
-    def _exec_segment_plan(self, sp: planmod.SegmentPlan, pc: np.ndarray,
-                           st: vecops.PeState, trace: dict | None = None,
-                           step: int = 0) -> tuple[int, int]:
-        """Plan-compiled segment execution: identical semantics and
-        cycle accounting to :meth:`_exec_segment`, but enable sets are
-        reused from per-member lane lists, body stack depths come from
-        the precompiled tables (no per-instruction ``sp`` traffic), and
-        terminators dispatch on precompiled kind codes."""
-        cycles = 0
-        enabled = 0
-        members = sp.member_bids
-        lanes = [np.flatnonzero(pc == bid) for bid in members]
-        if trace is not None:
-            for j, bid in enumerate(members):
-                for pe in lanes[j]:
-                    trace[int(pe)].append((bid, step))
-        # Operand-stack depth of each member at segment entry: every
-        # lane of a member shares it (CFG-verified invariant).
-        base = [int(st.sp[l[0]]) if l.size else 0 for l in lanes]
-
-        # Body: each schedule entry runs once, on the PEs whose pc bit
-        # is in its guard.
-        if sp.instrs:
-            all_lanes = None
-            for e, instr in enumerate(sp.instrs):
-                mode = sp.src_modes[e]
-                if mode == planmod.SRC_SINGLE:
-                    idxs = lanes[sp.src_args[e]]
-                elif mode == planmod.SRC_ALL:
-                    if all_lanes is None:
-                        all_lanes = self._live_member_lanes(pc, lanes)
-                    idxs = all_lanes
-                else:
-                    row = sp.src_args[e]
-                    live = np.where(pc >= 0, pc, row.shape[0] - 1)
-                    idxs = np.flatnonzero(row[live])
-                c = self.costs.cost(instr)
-                cycles += c
-                enabled += c * idxs.size
-                if idxs.size == 0:
-                    continue
-                if sp.depth_scalars is not None:
-                    # Absolute depths precompiled into the plan: a
-                    # scalar, or a per-bid gather table when members at
-                    # different depths share this entry (dispatch
-                    # chains).
-                    depth = sp.depth_scalars[e]
-                    if depth is None:
-                        depth = sp.depth_tables[e][pc[idxs]]
-                else:
-                    # Static depths unresolved (hand-built programs):
-                    # derive from the segment-entry stack pointers.
-                    gm = sp.guard_members[e]
-                    rel = sp.rel_depths[e]
-                    depths = {base[j] + rel[k] for k, j in enumerate(gm)
-                              if lanes[j].size}
-                    if len(depths) == 1:
-                        depth = depths.pop()
-                    else:
-                        table = np.zeros(max(members) + 1, dtype=np.int64)
-                        for k, j in enumerate(gm):
-                            table[members[j]] = base[j] + rel[k]
-                        depth = table[pc[idxs]]
-                vecops.exec_instr_at(instr, idxs, st, depth)
-
-        # Terminators, one guarded group per member.
-        c = self.costs.branch_cost
-        cycles += c * len(members)
-        new_pc = pc.copy()
-        spawn_requests: list[tuple[np.ndarray, int]] = []
-        for j, bid in enumerate(members):
-            l = lanes[j]
-            enabled += c * l.size
-            if l.size == 0:
-                continue
-            kind = sp.kinds[j]
-            fin = base[j] + sp.total_delta[j]
-            if kind == planmod.K_FALL:
-                new_pc[l] = sp.on_true[j]
-                if fin != base[j]:
-                    st.sp[l] = fin
-            elif kind == planmod.K_COND:
-                if fin < 1:
-                    raise MachineError("branch on empty stack")
-                cond = st.stack[fin - 1, l]
-                st.sp[l] = fin - 1
-                new_pc[l] = np.where(cond != 0, sp.on_true[j],
-                                     sp.on_false[j])
-            elif kind == planmod.K_RET:
-                new_pc[l] = PC_DONE
-            elif kind == planmod.K_HALT:
-                new_pc[l] = PC_IDLE
-                st.reset_pes(l)
-            else:  # K_SPAWN
-                spawn_requests.append((l, sp.on_true[j]))
-                new_pc[l] = sp.on_false[j]
-                if fin != base[j]:
-                    st.sp[l] = fin
-
-        # Spawns activate idle PEs after all pc updates are staged, so a
-        # child cannot be re-claimed within the same segment.
-        for idxs, child in spawn_requests:
-            free = np.flatnonzero(new_pc == PC_IDLE)
-            if free.size < idxs.size:
-                raise MachineError(
-                    "spawn: not enough free PEs (section 3.2.5 requires "
-                    "spawns not to exceed the number of processors)"
-                )
-            children = free[: idxs.size]
-            st.poly[:, children] = st.poly[:, idxs]
-            st.reset_pes(children)
-            new_pc[children] = child
-        pc[:] = new_pc
-        return cycles, enabled
-
-    @staticmethod
-    def _live_member_lanes(pc: np.ndarray,
-                           lanes: list[np.ndarray]) -> np.ndarray:
-        """Ascending union of the (disjoint, sorted) member lane lists."""
-        if len(lanes) == 1:
-            return lanes[0]
-        mask = np.zeros(pc.shape[0], dtype=bool)
-        for l in lanes:
-            mask[l] = True
-        return np.flatnonzero(mask)
 
     def _exec_segment(self, seg, pc: np.ndarray, st: vecops.PeState,
                       trace: dict | None = None,

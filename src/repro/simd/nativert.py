@@ -18,11 +18,13 @@ program; this module turns that text into callable per-node functions:
   availability seam (cffi importable, a C compiler on ``PATH``, not
   killed via ``REPRO_NATIVE_DISABLE=1``); the machine checks it before
   selecting the backend and falls back to ``kernels`` with a
-  ``RuntimeWarning`` when it is set. Build failures raise
-  :class:`NativeBuildError`, which the machine treats the same way. A
-  cached ``.so`` that fails to ``dlopen`` (truncated or overwritten) is
-  evicted and rebuilt once; if the rebuild will not load either, that
-  is a build failure too.
+  ``RuntimeWarning`` when it is set. Build failures — a compiler that
+  exits nonzero, cannot be spawned, or outlives
+  :data:`BUILD_TIMEOUT_S`, or a cache directory that cannot be created
+  or written — raise :class:`NativeBuildError`, which the machine
+  treats the same way. A cached ``.so`` that fails to ``dlopen``
+  (truncated or overwritten) is evicted and rebuilt once; if the
+  rebuild will not load either, that is a build failure too.
 
 A wrapper call hands the C function raw array pointers (row strides in
 elements). A nonzero return code raises :class:`NativeKernelError`; the
@@ -33,6 +35,7 @@ deterministic, and state is discarded on error).
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import shutil
@@ -51,6 +54,13 @@ CFLAGS = ("-O2", "-fPIC", "-fwrapv", "-shared")
 
 #: Linker inputs (``trunc`` needs libm on some toolchains).
 LDFLAGS = ("-lm",)
+
+#: Seconds one compiler invocation may take before the build counts as
+#: failed. A hung compiler must end in the warned ``kernels`` fallback,
+#: not a hung run; but the largest library workload (``collatz_depth``)
+#: takes ~35 s to build cold at ``-O2`` with gcc on a 2-CPU x86-64
+#: host, so the limit sits well above that.
+BUILD_TIMEOUT_S = 300
 
 
 class NativeBuildError(Exception):
@@ -140,7 +150,9 @@ def artifact_key(nat) -> str:
 def build_shared(nat) -> Path:
     """Compile ``nat``'s C source into the content-addressed shared
     library (or return the already-built artifact). Atomic: concurrent
-    builders race benignly via ``os.replace``."""
+    builders race benignly via ``os.replace``. Every failure — the
+    cache directory, the compiler spawn, its exit status, or its
+    timeout — raises :class:`NativeBuildError`."""
     cc = _find_cc()
     if cc is None:
         raise NativeBuildError("no C compiler (cc/gcc/clang) on PATH")
@@ -149,24 +161,33 @@ def build_shared(nat) -> Path:
     so_path = root / f"{key}.so"
     if so_path.exists():
         return so_path
-    root.mkdir(parents=True, exist_ok=True)
-    c_path = root / f"{key}.c"
-    fd, tmp = tempfile.mkstemp(dir=root, suffix=".c")
-    with os.fdopen(fd, "w") as fh:
-        fh.write(nat.c_source)
-    os.replace(tmp, c_path)
-    fd, tmp_so = tempfile.mkstemp(dir=root, suffix=".so")
-    os.close(fd)
-    cmd = [cc, *CFLAGS, str(c_path), "-o", tmp_so, *LDFLAGS]
-    proc = subprocess.run(cmd, capture_output=True, text=True)
-    if proc.returncode != 0:
-        try:
-            os.unlink(tmp_so)
-        except OSError:
-            pass
+    tmp_so = None
+    try:
+        root.mkdir(parents=True, exist_ok=True)
+        c_path = root / f"{key}.c"
+        fd, tmp = tempfile.mkstemp(dir=root, suffix=".c")
+        with os.fdopen(fd, "w") as fh:
+            fh.write(nat.c_source)
+        os.replace(tmp, c_path)
+        fd, tmp_so = tempfile.mkstemp(dir=root, suffix=".so")
+        os.close(fd)
+        cmd = [cc, *CFLAGS, str(c_path), "-o", tmp_so, *LDFLAGS]
+        proc = subprocess.run(cmd, capture_output=True, text=True,
+                              timeout=BUILD_TIMEOUT_S)
+        if proc.returncode != 0:
+            raise NativeBuildError(
+                f"{' '.join(cmd)} failed:\n{proc.stderr.strip()}")
+        os.replace(tmp_so, so_path)
+        tmp_so = None
+    except subprocess.TimeoutExpired as err:
         raise NativeBuildError(
-            f"{' '.join(cmd)} failed:\n{proc.stderr.strip()}")
-    os.replace(tmp_so, so_path)
+            f"{cc} did not finish within {BUILD_TIMEOUT_S} s") from err
+    except OSError as err:
+        raise NativeBuildError(str(err)) from err
+    finally:
+        if tmp_so is not None:  # half-built artifact
+            with contextlib.suppress(OSError):
+                os.unlink(tmp_so)
     return so_path
 
 

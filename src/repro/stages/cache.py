@@ -54,7 +54,10 @@ from pathlib import Path
 #: *not* in the bundle — it lives beside the cache under ``native/``,
 #: keyed by source digest + compiler id + flags (host-local by
 #: construction, so bundles stay relocatable).
-CACHE_VERSION = 8
+#: v9: the table-driven ``plan`` executor is gone, and with it the
+#: per-entry lane-source tables that only it read, so pickled
+#: ``SegmentPlan``\ s change shape.
+CACHE_VERSION = 9
 
 #: Top-level repro subpackages whose code determines compile output.
 #: ``simd``/``mimd`` (simulators) and ``analysis``/``viz`` are runtime

@@ -2,12 +2,12 @@
 
 ``SimdMachine(backend="kernels")`` runs one generated, compiled
 function per automaton node (:mod:`repro.codegen.kernels`); the
-``plan`` (dense tables) and ``interp`` (interpretive reference)
-backends stay available as differential oracles. The kernels are a
-host-side optimization: every accounting field of
-:class:`~repro.simd.machine.SimdResult` must be bit-identical across
-all three backends, and the generated source must travel with the
-program artifact through pickling and the compile cache.
+``interp`` backend (interpretive reference) stays available as the
+differential oracle. The kernels are a host-side optimization: every
+accounting field of :class:`~repro.simd.machine.SimdResult` must be
+bit-identical across all backends, and the generated source must
+travel with the program artifact through pickling and the compile
+cache.
 """
 
 import pickle
@@ -68,9 +68,9 @@ class TestDifferential:
         runs = run_backends(result, 1)
         assert_identical(runs["kernels"], runs["interp"], "single_pe")
 
-    def test_trace_falls_back_to_plan(self):
+    def test_trace_falls_back_to_interp(self):
         # Kernels record no per-PE trace; with trace=True the machine
-        # must run the plan path and still produce the oracle's trace.
+        # must run the interpretive path and produce the oracle's trace.
         result = convert_source(STANDARD["divergent_loops"]())
         prog = result.simd_program()
         a = SimdMachine(npes=8, costs=result.options.costs, trace=True,

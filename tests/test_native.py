@@ -125,6 +125,37 @@ class TestFallbacks:
         result = convert_source(src)
         self._expect_fallback(result, "build failed")
 
+    @pytest.mark.parametrize("case,match", (
+        ("cache-is-a-file", "Not a directory"),
+        ("cc-not-executable", "Permission denied"),
+        ("cc-exits-nonzero", "synthetic ICE"),
+        ("cc-hangs", "did not finish within 0.5 s"),
+    ))
+    def test_build_failure_falls_back(self, case, match, tmp_path,
+                                      monkeypatch):
+        pytest.importorskip("cffi")
+        cc = tmp_path / "cc"
+        cc.write_text({
+            "cc-exits-nonzero": "#!/bin/sh\necho synthetic ICE >&2\n"
+                                "exit 1\n",
+            # exec: the timeout kills the process holding the pipes.
+            "cc-hangs": "#!/bin/sh\nexec sleep 60\n",
+        }.get(case, "#!/bin/sh\nexit 0\n"))
+        if case != "cc-not-executable":
+            cc.chmod(0o755)
+        monkeypatch.setattr(nativert, "_find_cc", lambda: str(cc))
+        monkeypatch.setattr(nativert, "compiler_id", lambda: "fake-cc 0")
+        # Nothing in the in-process dlopen cache may satisfy the load.
+        monkeypatch.setattr(nativert, "_loaded", {})
+        if case == "cache-is-a-file":
+            blocker = tmp_path / "not-a-dir"
+            blocker.write_text("")
+            monkeypatch.setenv("REPRO_MSC_CACHE", str(blocker))
+        monkeypatch.setattr(nativert, "BUILD_TIMEOUT_S", 0.5)
+        src = "main() { poly int x; x = procnum + 43; return (x); }"
+        self._expect_fallback(convert_source(src),
+                              f"(?s)build failed: .*{match}")
+
     @requires_toolchain
     def test_lazy_mode_documented_fallback(self):
         from repro.pipeline import simulate_simd
@@ -135,7 +166,7 @@ class TestFallbacks:
             res = simulate_simd(result, npes=8, backend="native")
         assert res.backend_used == "kernels"
 
-    def test_foreign_cost_model_cascades_to_plan(self):
+    def test_foreign_cost_model_cascades_to_interp(self):
         from dataclasses import replace
 
         from repro.ir.instr import DEFAULT_COSTS
@@ -147,8 +178,9 @@ class TestFallbacks:
         with pytest.warns(RuntimeWarning, match="cost model"):
             res = machine.run(prog)
         # native refuses (foreign costs), then kernels refuses for the
-        # same reason: the plan executor runs under the machine's model.
-        assert res.backend_used == "plan"
+        # same reason: the interpretive executor runs under the
+        # machine's model.
+        assert res.backend_used == "interp"
 
 
 @requires_toolchain

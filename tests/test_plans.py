@@ -1,48 +1,46 @@
-"""Differential tests for the plan-compiled SIMD executor.
+"""The plan IR (:mod:`repro.codegen.plan`): structure, and its one
+run-time role.
 
-`SimdMachine(backend="plan")` runs the precompiled tables of
-:mod:`repro.codegen.plan`; `backend="interp"` is the original
-interpretive executor kept as the oracle. Every accounting field of
-:class:`~repro.simd.machine.SimdResult` must be bit-identical between
-the two — the plan layer is a host-side optimization and must not
-perturb the simulated cost model.
+The plan tables are what the kernel generators compile from; no
+executor interprets them. At run time the compiled backends read only
+the plan's bit-weight table, for ``globalor``. ``TestDifferential``
+isolates that role: with every generated kernel removed, the
+``kernels`` backend runs each node on the interpretive segment executor
+(the per-node fall-through path) yet still dispatches through the
+plan's bit weights, and must stay bit-identical to ``interp``, which
+computes ``globalor`` without the table. Differential identity of the
+generated code itself lives in ``tests/test_kernels.py`` and
+``tests/test_native.py``.
 """
 
-import numpy as np
+from collections import Counter
+from dataclasses import replace
+
 import pytest
 
+from repro.codegen.kernels import KernelProgram
 from repro.codegen.plan import compile_plan
 from repro.pipeline import ConversionOptions, convert_source
 from repro.simd.machine import SimdMachine
 from repro.workloads import STANDARD
 
-EXACT_FIELDS = (
-    "cycles",
-    "body_cycles",
-    "transition_cycles",
-    "enabled_pe_cycles",
-    "meta_transitions",
-)
-ARRAY_FIELDS = ("pc", "poly", "mono")
+from tests.test_kernels import assert_identical
 
 
-def run_both(result, npes, active=None, trace=False):
-    runs = []
-    for backend in ("plan", "interp"):
+def run_plan_only(result, npes, active=None):
+    """Run ``result`` on ``kernels`` with no generated kernel at all,
+    next to the ``interp`` oracle."""
+    prog = result.simd_program()
+    empty = KernelProgram(source="", entry_names={},
+                          costs=prog.kernels().costs)
+    runs = {}
+    for backend, program in (("kernels", replace(prog, _kernels=empty)),
+                             ("interp", prog)):
         machine = SimdMachine(npes=npes, costs=result.options.costs,
-                              trace=trace, backend=backend)
-        runs.append(machine.run(result.simd_program(), active=active))
-    return runs
-
-
-def assert_identical(a, b, label):
-    for fld in EXACT_FIELDS:
-        assert getattr(a, fld) == getattr(b, fld), (label, fld)
-    for fld in ARRAY_FIELDS:
-        assert np.array_equal(getattr(a, fld), getattr(b, fld)), (label, fld)
-    assert np.array_equal(a.returns, b.returns, equal_nan=True), label
-    assert a.node_visits == b.node_visits, label
-    assert abs(a.utilization - b.utilization) == 0, label
+                              backend=backend)
+        runs[backend] = machine.run(program, active=active)
+    assert runs["kernels"].backend_used == "kernels"
+    return runs["kernels"], runs["interp"]
 
 
 class TestDifferential:
@@ -54,17 +52,31 @@ class TestDifferential:
         for npes in (8, 33):
             # Spawning workloads need idle PEs in the free pool.
             active = npes // 2 if "spawn" in src else None
-            a, b = run_both(result, npes, active=active)
+            a, b = run_plan_only(result, npes, active=active)
             assert_identical(a, b, (name, compress, npes))
 
     def test_traces_match(self):
+        # Only interp records traces, so the traced oracle is checked
+        # against the untraced plan-dispatched run: recording must not
+        # perturb the cost model, and the meta states the trace shows,
+        # step by step, must be the nodes the plan-dispatched run visited.
         result = convert_source(STANDARD["divergent_loops"]())
-        a, b = run_both(result, 8, trace=True)
-        assert a.trace == b.trace
+        a, _ = run_plan_only(result, 8)
+        traced = SimdMachine(npes=8, costs=result.options.costs,
+                             trace=True, backend="interp").run(
+                                 result.simd_program())
+        assert_identical(a, traced, "traced")
+        by_step: dict = {}
+        for entries in traced.trace.values():
+            for bid, step in entries:
+                by_step.setdefault(step, set()).add(bid)
+        assert sorted(by_step) == list(range(1, len(by_step) + 1))
+        assert Counter(frozenset(s) for s in by_step.values()) \
+            == Counter(a.node_visits)
 
     def test_single_pe(self):
         result = convert_source(STANDARD["mandelbrot"]())
-        a, b = run_both(result, 1)
+        a, b = run_plan_only(result, 1)
         assert_identical(a, b, "single_pe")
 
 
@@ -89,7 +101,10 @@ class TestPlanStructure:
         assert plan.bit_weights.dtype == object
         top = plan.n_bids - 1
         assert int(plan.bit_weights[top]) == 1 << top
-        a, b = run_both(result, 8)
+        a, b = (SimdMachine(npes=8, costs=result.options.costs,
+                            backend=backend).run(result.simd_program())
+                for backend in ("kernels", "interp"))
+        assert a.backend_used == "kernels"
         assert_identical(a, b, "wide")
 
     def test_segment_plans_align_with_segments(self):
