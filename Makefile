@@ -13,8 +13,9 @@ props:
 # Backend benchmark (all three executors over the workload library +
 # the 16K-PE scaling check); writes BENCH_9.json and fails if the
 # fused kernels are slower than the interpretive executor, if the
-# native C kernels are slower than the NumPy kernels (when a toolchain
-# is available), if simulated cycles regressed against the latest prior
+# native C kernels are slower than the NumPy kernels, or under 3x
+# faster on the transition-bound odd_even_sort row (both when a
+# toolchain is available), if simulated cycles regressed against the latest prior
 # BENCH_*.json, or if the frontier verifier misses its wall-time gate
 # on an explosion workload.
 bench:

@@ -46,12 +46,31 @@ indices are always relative to the ``pc`` pointer the function was
 handed, widths come from ``n``, PE ids from ``pids``, and row strides
 are passed explicitly.
 
+The control unit is C too: ``msc_run`` (the one exported entry point)
+walks the automaton itself — it calls the node functions through a
+``static`` function-pointer table indexed by node number, keeps the
+cycle, transition and visit accounting, computes ``globalor`` as the OR
+of ``1 << pc`` over live lanes, applies the section 3.2.4 barrier
+masking, evaluates each node's Listing-5 hash (:meth:`HashFn.c_expr
+<repro.hashenc.search.HashFn.c_expr>`) and jumps through a ``static
+const`` jump table. A native run is therefore one foreign call, not
+one per meta transition. ``msc_run`` returns a status and the node it
+stopped at, and resumes from any node; it hands a step back to the
+machine's Python step code (:data:`MSC_STEP`) when the node has no C
+function or the step limit is reached, and a transition
+(:data:`MSC_DISPATCH`) when the dispatch cannot be done in a 64-bit
+word: block ids past 63, a hash of another width or shape, or an
+unused jump-table slot (so the Python lookup raises its exact
+:class:`~repro.errors.ConversionError`). The node functions stay
+non-``static`` so the compiler does not inline them into the loop,
+which keeps the cold build time of a many-node program flat.
+
 A :class:`NativeProgram` stores only the generated *source* (plus the
-node-key -> function-name table); compiling it to a shared library and
-loading it through cffi is the runtime's job (:mod:`repro.simd.nativert`),
-which is what lets the artifact travel inside the content-addressed
-compile cache as text and be rebuilt — or dlopen'd from the native
-cache — on any host.
+node numbering); compiling it to a shared library and loading it
+through cffi is the runtime's job (:mod:`repro.simd.nativert`), which
+is what lets the artifact travel inside the content-addressed compile
+cache as text and be rebuilt — or dlopen'd from the native cache — on
+any host.
 """
 
 from __future__ import annotations
@@ -61,11 +80,12 @@ from dataclasses import dataclass
 
 from repro.codegen import plan as planmod
 from repro.codegen.kernels import _PUSHING_OPS, KernelUnsupported
+from repro.hashenc.search import BranchEncoding, key_of_members
 from repro.ir.instr import BINARY_OPS, UNARY_OPS, Instr, Op
 
 #: Bump when the generated-code / runtime ABI contract changes; part of
 #: the shared-library cache key (see :mod:`repro.simd.nativert`).
-NATIVE_VERSION = 1
+NATIVE_VERSION = 2
 
 _CROSSLANE_OPS = planmod.CROSSLANE_OPS
 
@@ -113,18 +133,34 @@ _PARAMS = (
     "double *restrict pids, i64 npes, i64 *restrict pc0, i64 *restrict out"
 )
 
-#: The cffi ``cdef`` declaration of one node function (ABI mode).
-CDEF_SIGNATURE = (
-    "int64_t {name}(int64_t *, int64_t, double *, int64_t, int64_t, "
-    "int64_t *, double *, int64_t, int64_t, int64_t *, double *, "
-    "int64_t, double *, double *, int64_t, int64_t *, int64_t *);"
+#: Statuses ``msc_run`` returns besides the positive lane error codes.
+#: ``MSC_DONE``: the run finished. ``MSC_STEP``: run the step of the
+#: node it stopped at in Python (the node has no C function, or the
+#: step limit is reached). ``MSC_DISPATCH``: the stopped node's body
+#: and transition count are done; run its transition in Python.
+MSC_DONE = 0
+MSC_STEP = -1
+MSC_DISPATCH = -2
+
+#: The cffi ``cdef`` of the one exported entry point (ABI mode):
+#: ``msc_run(at, max_steps, acc, visits, <node state>, pc0)``. ``at``
+#: holds the node to start from and receives the node it stopped at;
+#: ``acc`` holds the running ``steps, cycles, body_cycles,
+#: transition_cycles, enabled_pe_cycles, meta_transitions`` and is
+#: updated in place; ``visits`` counts visits per node number.
+CDEF = (
+    "int64_t msc_run(int64_t *, int64_t, int64_t *, int64_t *, "
+    "int64_t *, int64_t, double *, int64_t, int64_t, int64_t *, "
+    "double *, int64_t, int64_t, int64_t *, double *, int64_t, "
+    "double *, double *, int64_t, int64_t *);"
 )
 
 _C_HEADER = """\
 /* Native meta-state kernels generated by repro.codegen.native (v{version}).
  *
  * One function per automaton node: node(pc, ..., out) -> error code,
- * out = {{body_cycles, transition_cycles, enabled_pe_cycles, exited}}.
+ * out = {{body_cycles, transition_cycles, enabled_pe_cycles, exited}},
+ * and the control unit msc_run that walks the automaton over them.
  * Derived from the program plan; regenerated whenever the program
  * changes. Do not edit.
  */
@@ -134,6 +170,109 @@ _C_HEADER = """\
 
 typedef int64_t i64;
 typedef uint64_t u64;
+"""
+
+#: The control unit; the generator fills in the per-node tables.
+_C_RUN = """\
+/* ---- control unit ---- */
+typedef i64 (*node_fn)(i64 *, i64, double *, i64, i64, i64 *, double *,
+                       i64, i64, i64 *, double *, i64, double *, double *,
+                       i64, i64 *, i64 *);
+
+/* statuses besides the positive lane error codes */
+#define MSC_DONE {done}
+#define MSC_STEP {step}
+#define MSC_DISPATCH {dispatch}
+
+/* how each node leaves: */
+#define X_END 0      /* everyone returned */
+#define X_NEXT 1     /* single successor NEXT[node] */
+#define X_HASH 2     /* hash dispatch in jump() */
+#define X_PYTHON 3   /* transition handed back to the caller */
+
+{tables}
+
+/* the hardware globalor: OR of 1 << pc over live lanes */
+static u64 globalor(const i64 *pc, i64 n)
+{{
+    u64 apc = 0;
+    for (i64 i = 0; i < n; i++)
+        if (pc[i] >= 0) apc |= 1ULL << pc[i];
+    return apc;
+}}
+
+/* node the aggregate key leads to from `node`, -1 for an unused slot;
+   every hash is masked or reduced below its table size */
+static i64 jump(i64 node, u64 key)
+{{
+    switch (node) {{
+{cases}    default: return -1;
+    }}
+}}
+
+i64 msc_run(i64 *restrict at, i64 max_steps, i64 *restrict acc,
+            i64 *restrict visits, i64 *restrict pc, i64 n,
+            double *restrict stack, i64 s_str, i64 s_rows,
+            i64 *restrict sp, double *restrict rstack, i64 r_str,
+            i64 r_rows, i64 *restrict rsp, double *restrict poly,
+            i64 p_str, double *restrict mono, double *restrict pids,
+            i64 npes, i64 *restrict pc0)
+{{
+    i64 cur = at[0], rc = MSC_DONE;
+    i64 steps = acc[0], cycles = acc[1], body = acc[2], tcost = acc[3];
+    i64 enabled = acc[4], trans = acc[5];
+    i64 out[4];
+    for (;;) {{
+        node_fn fn = NODE_FN[cur];
+        if (!fn || steps >= max_steps) {{ rc = MSC_STEP; break; }}
+        steps++;
+        visits[cur]++;
+        rc = fn(pc, n, stack, s_str, s_rows, sp, rstack, r_str, r_rows,
+                rsp, poly, p_str, mono, pids, npes, pc0, out);
+        if (rc) break;
+        cycles += out[0] + out[1];
+        body += out[0];
+        tcost += out[1];
+        enabled += out[2];
+        if (out[3]) break;
+        trans++;
+        /* transition: nothing is charged until it cannot yield */
+        i64 kind = EXIT[cur], next = -1, tc = 0;
+        u64 apc = 0;
+        if (kind == X_PYTHON) {{ rc = MSC_DISPATCH; break; }}
+        if (BARRIER[cur] >= 0) {{
+            /* compressed graphs: the all-at-barrier entry (3.2.4) */
+            apc = globalor(pc, n);
+            tc += {goc};
+            if (apc && !(apc & ~BARRIER_MASK)) next = BARRIER[cur];
+        }}
+        if (next < 0 && (apc || BARRIER[cur] < 0)) {{
+            if (kind == X_HASH) {{
+                if (BARRIER[cur] < 0) apc = globalor(pc, n);
+                tc += {goc} + {dc};
+                if (apc) {{
+                    /* parked barrier bits are masked out unless
+                       everyone is at a barrier */
+                    u64 key = (apc & ~BARRIER_MASK)
+                              ? (apc & ~BARRIER_MASK) : apc;
+                    next = jump(cur, key);
+                    if (next < 0) {{ rc = MSC_DISPATCH; break; }}
+                }}
+            }} else if (kind == X_NEXT) {{
+                tc += {bc};
+                next = NEXT[cur];
+            }}
+        }}
+        cycles += tc;
+        tcost += tc;
+        if (next < 0) break;
+        cur = next;
+    }}
+    at[0] = cur;
+    acc[0] = steps; acc[1] = cycles; acc[2] = body; acc[3] = tcost;
+    acc[4] = enabled; acc[5] = trans;
+    return rc;
+}}
 """
 
 _C_BIN = {
@@ -177,14 +316,17 @@ class NativeProgram:
     """The generated C module of one program.
 
     ``c_source`` is a self-contained translation unit (all constants
-    are literals); ``entry_names`` maps each node's entry meta state to
-    its exported function name. Only text travels through the compile
-    cache — compiling and dlopening is :mod:`repro.simd.nativert`'s
-    job, keyed by :meth:`digest` plus the compiler identity.
+    are literals); ``node_keys`` numbers the nodes (node ``i`` of
+    ``msc_run`` is ``node_keys[i]``), and ``entry_names`` maps each node
+    that has a C function to its name. Only text travels through the
+    compile cache — compiling and dlopening is
+    :mod:`repro.simd.nativert`'s job, keyed by :meth:`digest` plus the
+    compiler identity.
     """
 
     c_source: str
     entry_names: dict
+    node_keys: tuple
     costs: object
     n_poly: int
     version: int = NATIVE_VERSION
@@ -192,12 +334,6 @@ class NativeProgram:
     def digest(self) -> str:
         """Content address of the generated source."""
         return hashlib.sha256(self.c_source.encode()).hexdigest()
-
-    def cdef(self) -> str:
-        """cffi declarations for every exported node function."""
-        return "\n".join(
-            CDEF_SIGNATURE.format(name=name)
-            for name in sorted(self.entry_names.values()))
 
     def stats(self) -> dict:
         """Counters for the stage report."""
@@ -310,7 +446,7 @@ class _CGenerator:
     def build(self) -> NativeProgram:
         chunks = [_C_HEADER.format(version=NATIVE_VERSION)]
         entry_names: dict = {}
-        keys = sorted(self.prog.nodes, key=lambda k: tuple(sorted(k)))
+        keys = tuple(sorted(self.prog.nodes, key=lambda k: tuple(sorted(k))))
         for i, key in enumerate(keys):
             name = f"node_{i}"
             try:
@@ -318,10 +454,65 @@ class _CGenerator:
             except KernelUnsupported:
                 continue
             entry_names[key] = name
+        chunks.append(self._emit_control_unit(keys, entry_names))
         return NativeProgram(c_source="\n".join(chunks),
                              entry_names=entry_names,
+                             node_keys=keys,
                              costs=self.costs,
                              n_poly=self.prog.n_poly)
+
+    def _emit_control_unit(self, keys, entry_names) -> str:
+        """``msc_run`` plus its per-node tables: function pointers, exit
+        kinds, single and barrier successors, and one jump-table slice
+        per hash-dispatched node."""
+        index = {key: i for i, key in enumerate(keys)}
+        # Aggregates wider than a machine word are dispatched in Python.
+        narrow = self.plan.n_bids <= 63
+        fns, exits, nexts, barriers, cases, slots = [], [], [], [], [], []
+        for i, key in enumerate(keys):
+            node = self.prog.nodes[key]
+            fns.append(entry_names.get(key, "0"))
+            kind, nxt, bar = "X_END", -1, -1
+            if node.encoding is not None:
+                enc = node.encoding
+                kind = "X_PYTHON"
+                if (narrow and isinstance(enc, BranchEncoding)
+                        and enc.fn.width == 64):
+                    kind = "X_HASH"
+                    cases.append(f"    case {i}: return JT[{len(slots)} + "
+                                 f"{enc.fn.c_expr('key')}];\n")
+                    slots.extend(-1 if t is None else index[t]
+                                 for t in enc.table)
+            elif node.single_target is not None:
+                kind, nxt = "X_NEXT", index[node.single_target]
+            if node.barrier_target is not None:
+                if narrow:
+                    bar = index[node.barrier_target]
+                else:
+                    kind = "X_PYTHON"
+            exits.append(kind)
+            nexts.append(nxt)
+            barriers.append(bar)
+        mask = key_of_members(self.prog.barrier_ids) if narrow else 0
+        tables = [
+            f"static node_fn const NODE_FN[{len(keys)}] = "
+            f"{{{', '.join(fns)}}};",
+            f"static const unsigned char EXIT[{len(keys)}] = "
+            f"{{{', '.join(exits)}}};",
+            f"static const int32_t NEXT[{len(keys)}] = "
+            f"{{{','.join(map(str, nexts))}}};",
+            f"static const int32_t BARRIER[{len(keys)}] = "
+            f"{{{','.join(map(str, barriers))}}};",
+            f"static const u64 BARRIER_MASK = {mask:#x}ULL;",
+        ]
+        if slots:
+            tables.append(f"static const int32_t JT[{len(slots)}] = "
+                          f"{{{','.join(map(str, slots))}}};")
+        return _C_RUN.format(
+            tables="\n".join(tables), cases="".join(cases),
+            done=MSC_DONE, step=MSC_STEP, dispatch=MSC_DISPATCH,
+            goc=self.costs.globalor_cost, dc=self.costs.dispatch_cost,
+            bc=self.costs.branch_cost)
 
     # ------------------------------------------------------------------
     def _tmp(self) -> str:

@@ -132,15 +132,16 @@ class SimdMachine:
         Which executor runs the node bodies — all three produce
         bit-identical :class:`SimdResult`\\ s:
 
-        - ``"native"``: per-node C functions generated by
-          :mod:`repro.codegen.native`, compiled once per program via
-          cffi into a content-addressed shared library
-          (:mod:`repro.simd.nativert`) — no Python dispatch inside a
-          node. Falls back to ``"kernels"`` with a
-          :class:`RuntimeWarning` when unavailable (no C compiler or
-          cffi, ``REPRO_NATIVE_DISABLE=1``, build failure, lazy
-          conversion, unresolvable static depths, or a foreign cost
-          model); the fallback cascades through the ``"kernels"``
+        - ``"native"``: per-node C functions and a C control unit
+          generated by :mod:`repro.codegen.native`, compiled once per
+          program via cffi into a content-addressed shared library
+          (:mod:`repro.simd.nativert`) — one foreign call runs the
+          whole automaton, with no Python per meta step. Falls back
+          to ``"kernels"`` with a :class:`RuntimeWarning` when
+          unavailable (no C compiler or cffi,
+          ``REPRO_NATIVE_DISABLE=1``, build failure, lazy conversion,
+          unresolvable static depths, or a foreign cost model); the
+          fallback cascades through the ``"kernels"``
           checks below, and :attr:`SimdResult.backend_used` records
           what actually ran.
         - ``"kernels"`` (default): fused per-node functions generated by
@@ -169,7 +170,7 @@ class SimdMachine:
         self.rstack_depth = rstack_depth
         self.trace_enabled = trace
         self.backend = resolve_backend(backend)
-        self._nfns = None  # loaded native kernels, set per run
+        self._native = None  # loaded native library, set per run
 
     # ------------------------------------------------------------------
     def run(self, prog: SimdProgram, active: int | None = None,
@@ -223,7 +224,7 @@ class SimdMachine:
         """Resolve the backend that will actually run ``prog`` —
         warning on every downgrade so a run is never mislabeled."""
         backend = self.backend
-        self._nfns = None
+        self._native = None
         if self.trace_enabled and backend != "interp":
             return _downgrade(f"backend {backend!r} records no per-PE "
                               f"trace", "interp")
@@ -254,7 +255,7 @@ class SimdMachine:
     def _native_unusable(self, prog: SimdProgram,
                          miss_handler=None) -> str | None:
         """Why the native kernels cannot run ``prog`` here, or ``None``
-        after loading them into ``self._nfns``."""
+        after loading them into ``self._native``."""
         from repro.simd import nativert
 
         if miss_handler is not None:
@@ -276,7 +277,7 @@ class SimdMachine:
             return ("native kernels fold a different cost model into "
                     "their constants than this machine's")
         try:
-            self._nfns = nativert.load_native(nat)
+            self._native = nativert.load_native(nat)
         except nativert.NativeBuildError as err:
             return f"native kernel build failed: {err}"
         return None
@@ -338,56 +339,79 @@ class SimdMachine:
         # Fused kernels: one generated function per node (availability
         # and cost-model compatibility were resolved — with warnings —
         # by _effective_backend). Lazy mode reads the handler's live
-        # kernel dict, which fetch() fills per discovered node. The
-        # native executor uses the same per-node callable contract, so
-        # it shares the kernel dispatch below; nodes a generator
-        # skipped fall through to the interpretive segment executor
-        # lane-identically.
+        # kernel dict, which fetch() fills per discovered node. Nodes a
+        # generator skipped fall through to the interpretive segment
+        # executor lane-identically.
+        kfns = None
         if backend == "kernels":
             kfns = (miss_handler.kfns if miss_handler is not None
                     else prog.kernels().fns)
-        elif backend == "native":
-            kfns = self._nfns
-        else:
-            kfns = None
+        # Native: the C control unit runs whole stretches of the
+        # automaton per call and hands back single steps (a node with
+        # no C function, the step limit) or transitions (a dispatch it
+        # cannot do in a 64-bit word) to the Python step below.
+        unit = None
+        if backend == "native":
+            from repro.codegen.native import MSC_DISPATCH, MSC_DONE
+            from repro.simd.nativert import ControlUnit
+
+            unit = ControlUnit(self._native, pc, st)
 
         current = prog.start
         steps = 0
+        # Set when C ran this step's body and left its transition.
+        at_dispatch = False
         while True:
-            steps += 1
-            if steps > max_steps:
-                raise MachineError(f"SIMD run exceeded {max_steps} meta steps")
-            if miss_handler is not None:
-                miss_handler.fetch(current, want_kernel=kfns is not None)
-            node = prog.nodes[current]
-            visits[node.entry_members] = visits.get(node.entry_members, 0) + 1
-
-            kfn = kfns.get(current) if kfns is not None else None
-            if kfn is not None:
-                b, t, e, exited = kfn(pc, st)
-                cycles += b + t
-                body_cycles += b
-                transition_cycles += t
-                enabled_pe_cycles += e
-                if exited:
+            if unit is not None:
+                status, current, counts = unit.run(
+                    current, max_steps,
+                    (steps, cycles, body_cycles, transition_cycles,
+                     enabled_pe_cycles, transitions))
+                (steps, cycles, body_cycles, transition_cycles,
+                 enabled_pe_cycles, transitions) = counts
+                if status == MSC_DONE:
                     break
+                at_dispatch = status == MSC_DISPATCH
+            if at_dispatch:
+                node = prog.nodes[current]
+                at_dispatch = False
             else:
-                exited = False
-                for seg in node.segments:
-                    c, e = self._exec_segment(seg, pc, st, trace, steps)
-                    cycles += c
-                    body_cycles += c
-                    enabled_pe_cycles += e
-                    if seg.can_exit:
-                        cycles += self.costs.globalor_cost
-                        transition_cycles += self.costs.globalor_cost
-                        if not np.any(pc >= 0):
-                            exited = True
-                            break
-                if exited:
-                    break
+                steps += 1
+                if steps > max_steps:
+                    raise MachineError(
+                        f"SIMD run exceeded {max_steps} meta steps")
+                if miss_handler is not None:
+                    miss_handler.fetch(current, want_kernel=kfns is not None)
+                node = prog.nodes[current]
+                visits[node.entry_members] = \
+                    visits.get(node.entry_members, 0) + 1
 
-            transitions += 1
+                kfn = kfns.get(current) if kfns is not None else None
+                if kfn is not None:
+                    b, t, e, exited = kfn(pc, st)
+                    cycles += b + t
+                    body_cycles += b
+                    transition_cycles += t
+                    enabled_pe_cycles += e
+                    if exited:
+                        break
+                else:
+                    exited = False
+                    for seg in node.segments:
+                        c, e = self._exec_segment(seg, pc, st, trace, steps)
+                        cycles += c
+                        body_cycles += c
+                        enabled_pe_cycles += e
+                        if seg.can_exit:
+                            cycles += self.costs.globalor_cost
+                            transition_cycles += self.costs.globalor_cost
+                            if not np.any(pc >= 0):
+                                exited = True
+                                break
+                    if exited:
+                        break
+
+                transitions += 1
             if node.barrier_target is not None:
                 # Compressed graphs: the all-at-barrier entry is a
                 # runtime check on the aggregate (section 3.2.4).
@@ -421,6 +445,10 @@ class SimdMachine:
                 # Terminal node: everyone returned.
                 break
 
+        if unit is not None:
+            for key, n in unit.node_visits().items():
+                members = prog.nodes[key].entry_members
+                visits[members] = visits.get(members, 0) + n
         return self._result(prog, st, pc, cycles, body_cycles,
                             transition_cycles, enabled_pe_cycles,
                             transitions, visits, trace, backend)

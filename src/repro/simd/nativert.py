@@ -1,7 +1,7 @@
-"""Runtime loader for the native C kernels.
+"""Runtime loader for the native C kernels and control unit.
 
 :mod:`repro.codegen.native` generates one C translation unit per
-program; this module turns that text into callable per-node functions:
+program; this module turns that text into a callable control unit:
 
 - **content-addressed builds** — the shared library lands in
   ``<cache root>/native/<key>.so`` where the key hashes the generated
@@ -13,7 +13,9 @@ program; this module turns that text into callable per-node functions:
   relocatable: nothing in the key or the artifact mentions absolute
   paths, only content.
 - **cffi ABI mode** — ``ffi.cdef`` + ``ffi.dlopen``; no ``Python.h``
-  and no compile-against-CPython step.
+  and no compile-against-CPython step. The ``cdef`` declares only
+  ``msc_run``, the one entry point, so loading parses one declaration
+  however many nodes the program has.
 - **graceful degradation** — :func:`unavailable_reason` is the single
   availability seam (cffi importable, a C compiler on ``PATH``, not
   killed via ``REPRO_NATIVE_DISABLE=1``); the machine checks it before
@@ -26,11 +28,13 @@ program; this module turns that text into callable per-node functions:
   (truncated or overwritten) is evicted and rebuilt once; if the
   rebuild will not load either, that is a build failure too.
 
-A wrapper call hands the C function raw array pointers (row strides in
-elements). A nonzero return code raises :class:`NativeKernelError`; the
-machine replays the run on the ``kernels`` backend to reconstruct the
-exact :class:`~repro.errors.MachineError` (simulation is
-deterministic, and state is discarded on error).
+A :class:`ControlUnit` casts every state pointer once per run; each
+:meth:`ControlUnit.run` is then one call into ``msc_run``, which runs meta steps until the run ends or it yields
+a step back to the machine (see :mod:`repro.codegen.native`). A
+positive return code raises :class:`NativeKernelError`; the machine
+replays the run on the ``kernels`` backend to reconstruct the exact
+:class:`~repro.errors.MachineError` (simulation is deterministic, and
+state is discarded on error).
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.codegen.native import NATIVE_ERROR_MESSAGES, NATIVE_VERSION
+from repro.codegen.native import CDEF, NATIVE_ERROR_MESSAGES, NATIVE_VERSION
 
 #: Compile flags (part of the shared-library cache key). ``-fwrapv``
 #: pins signed-integer wraparound to the two's-complement behavior the
@@ -191,25 +195,96 @@ def build_shared(nat) -> Path:
     return so_path
 
 
-#: digest -> (ffi, lib, fns): keeps the dlopen'd library alive for the
+#: Largest ``max_steps`` ``msc_run`` takes (an int64); any larger
+#: limit cannot be reached by a run anyway.
+_MAX_STEPS = (1 << 63) - 1
+
+
+class NativeLibrary:
+    """A dlopen'd program module: ``msc_run`` and the node numbering it
+    uses (``keys[i]`` is node ``i``)."""
+
+    def __init__(self, ffi, lib, nat):
+        self.ffi = ffi
+        self.lib = lib
+        self.keys = nat.node_keys
+        self.index = {key: i for i, key in enumerate(self.keys)}
+
+
+class ControlUnit:
+    """``msc_run`` bound to one run's machine state. Every pointer is
+    cast once here (``PeState`` never reallocates its arrays), so a
+    :meth:`run` is one foreign call however many meta steps it takes."""
+
+    def __init__(self, library: NativeLibrary, pc: np.ndarray, st):
+        cast = library.ffi.cast
+        self.keys = library.keys
+        self.index = library.index
+        self.acc = np.zeros(6, dtype=np.int64)
+        self.visits = np.zeros(len(self.keys), dtype=np.int64)
+        self._at = np.zeros(1, dtype=np.int64)
+        pc0 = np.empty(pc.shape[0], dtype=np.int64)
+        self._arrays = (pc, st, pc0)  # alive while the pointers are
+
+        def i64p(a):
+            return cast("int64_t *", a.ctypes.data)
+
+        def f64p(a):
+            return cast("double *", a.ctypes.data)
+
+        self._msc_run = library.lib.msc_run
+        self._at_p = i64p(self._at)
+        self._state = (
+            i64p(self.acc), i64p(self.visits),
+            i64p(pc), pc.shape[0],
+            f64p(st.stack), st.stack.strides[0] // 8, st.stack.shape[0],
+            i64p(st.sp),
+            f64p(st.rstack), st.rstack.strides[0] // 8, st.rstack.shape[0],
+            i64p(st.rsp),
+            f64p(st.poly), st.poly.strides[0] // 8,
+            f64p(st.mono), f64p(st.pids), st.npes,
+            i64p(pc0),
+        )
+
+    def run(self, current, max_steps: int,
+            counts: tuple) -> tuple[int, object, tuple]:
+        """Run meta steps from node ``current`` with the running
+        ``counts`` (steps, cycles, body, transition and enabled-PE
+        cycles, transitions). Returns the status
+        (:data:`~repro.codegen.native.MSC_DONE` / ``MSC_STEP`` /
+        ``MSC_DISPATCH``), the node it stopped at, and the updated
+        counts; a lane error raises :class:`NativeKernelError`."""
+        self._at[0] = self.index[current]
+        self.acc[:] = counts
+        rc = self._msc_run(self._at_p, min(max_steps, _MAX_STEPS),
+                           *self._state)
+        if rc > 0:
+            raise NativeKernelError(rc)
+        return rc, self.keys[int(self._at[0])], tuple(self.acc.tolist())
+
+    def node_visits(self) -> dict:
+        """``node key -> visits`` for every node ``msc_run`` ran."""
+        return {self.keys[i]: int(self.visits[i])
+                for i in np.flatnonzero(self.visits)}
+
+
+#: digest -> NativeLibrary: keeps the dlopen'd library alive for the
 #: process and avoids re-opening per machine.
 _loaded: dict = {}
 
 
-def load_native(nat) -> dict:
-    """``entry meta state -> callable`` for every node of ``nat``,
-    building and/or dlopening the shared library on first use. The
-    callables have the kernel signature ``fn(pc, st) -> (body_cycles,
-    transition_cycles, enabled_pe_cycles, exited)`` and release the GIL
-    while the C code runs."""
+def load_native(nat) -> NativeLibrary:
+    """The loaded :class:`NativeLibrary` of ``nat``, building and/or
+    dlopening the shared library on first use. ``msc_run`` releases
+    the GIL while the C code runs."""
     cached = _loaded.get(nat.digest())
     if cached is not None:
-        return cached[2]
+        return cached
     import cffi
 
     so_path = build_shared(nat)
     ffi = cffi.FFI()
-    ffi.cdef(nat.cdef())
+    ffi.cdef(CDEF)
     try:
         lib = ffi.dlopen(str(so_path))
     except OSError:
@@ -223,37 +298,6 @@ def load_native(nat) -> dict:
             so_path.unlink(missing_ok=True)
             raise NativeBuildError(
                 f"rebuilt library does not load: {err}") from err
-    fns = {key: _make_wrapper(ffi, getattr(lib, name))
-           for key, name in nat.entry_names.items()}
-    _loaded[nat.digest()] = (ffi, lib, fns)
-    return fns
-
-
-def _make_wrapper(ffi, cfn):
-    cast = ffi.cast
-
-    def call(pc, st):
-        n = pc.shape[0]
-        scratch = np.empty(n, dtype=np.int64)
-        out = np.empty(4, dtype=np.int64)
-        rc = cfn(
-            cast("int64_t *", pc.ctypes.data), n,
-            cast("double *", st.stack.ctypes.data),
-            st.stack.strides[0] // 8, st.stack.shape[0],
-            cast("int64_t *", st.sp.ctypes.data),
-            cast("double *", st.rstack.ctypes.data),
-            st.rstack.strides[0] // 8, st.rstack.shape[0],
-            cast("int64_t *", st.rsp.ctypes.data),
-            cast("double *", st.poly.ctypes.data),
-            st.poly.strides[0] // 8,
-            cast("double *", st.mono.ctypes.data),
-            cast("double *", st.pids.ctypes.data),
-            st.npes,
-            cast("int64_t *", scratch.ctypes.data),
-            cast("int64_t *", out.ctypes.data),
-        )
-        if rc:
-            raise NativeKernelError(rc)
-        return int(out[0]), int(out[1]), int(out[2]), bool(out[3])
-
-    return call
+    library = NativeLibrary(ffi, lib, nat)
+    _loaded[nat.digest()] = library
+    return library

@@ -57,7 +57,10 @@ from pathlib import Path
 #: v9: the table-driven ``plan`` executor is gone, and with it the
 #: per-entry lane-source tables that only it read, so pickled
 #: ``SegmentPlan``\ s change shape.
-CACHE_VERSION = 9
+#: v10: the native C emission carries its control unit (``msc_run``)
+#: and the node numbering it uses (``NativeProgram.node_keys``), so
+#: pickled ``NativeProgram``\ s change shape.
+CACHE_VERSION = 10
 
 #: Top-level repro subpackages whose code determines compile output.
 #: ``simd``/``mimd`` (simulators) and ``analysis``/``viz`` are runtime

@@ -258,11 +258,12 @@ def _stage_kernels(ctx: CompileContext) -> dict:
 
 
 def _stage_native(ctx: CompileContext) -> dict:
-    """Generate (not compile) the per-node C source. Text-only: the
-    NativeProgram travels in the cache bundle with the program, while
-    compilation to a shared library is a host-local runtime step
-    (:mod:`repro.simd.nativert`) — keeping cached bundles relocatable
-    and this stage independent of whether a toolchain exists."""
+    """Generate (not compile) the per-node C source and its control
+    unit. Text-only: the NativeProgram travels in the cache bundle with
+    the program, while compilation to a shared library is a host-local
+    runtime step (:mod:`repro.simd.nativert`) — keeping cached bundles
+    relocatable and this stage independent of whether a toolchain
+    exists."""
     if getattr(ctx.options, "lazy", False):
         return {"lazy_deferred": 1}
     nat = ctx.program.native()

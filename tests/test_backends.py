@@ -14,6 +14,8 @@ from dataclasses import replace
 
 import pytest
 
+from repro.codegen.kernels import KernelUnsupported
+from repro.codegen.native import _CGenerator
 from repro.errors import MachineError
 from repro.ir.instr import DEFAULT_COSTS
 from repro.pipeline import convert_source
@@ -107,14 +109,18 @@ class TestKernelLessNode:
             del fns[dropped]
             monkeypatch.setattr(kern, "_fns", fns)
         else:
-            load = nativert.load_native
+            # The C generator skips the node, so msc_run hands each of
+            # its steps back to the Python step code.
+            emit_node = _CGenerator._emit_node
 
-            def load_without(nat):
-                fns = dict(load(nat))
-                del fns[dropped]
-                return fns
+            def emit_without(gen, idx, name, key):
+                if key == dropped:
+                    raise KernelUnsupported("dropped by the test")
+                return emit_node(gen, idx, name, key)
 
-            monkeypatch.setattr(nativert, "load_native", load_without)
+            monkeypatch.setattr(_CGenerator, "_emit_node", emit_without)
+            monkeypatch.setattr(prog, "_native", "unbuilt")
+            assert dropped not in prog.native().entry_names
         segment_runs = []
         exec_segment = SimdMachine._exec_segment
 

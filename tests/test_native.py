@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 
 from repro.codegen.native import NATIVE_VERSION, NativeProgram, compile_native
-from repro.errors import MachineError
+from repro.errors import ConversionError, MachineError
+from repro.hashenc.search import BranchEncoding, HashFn, key_of_members
 from repro.pipeline import ConversionOptions, convert_source
 from repro.simd import nativert
 from repro.simd.machine import SimdMachine
@@ -61,6 +62,24 @@ class TestDifferential:
         b = run_backends(result, 1, backends=("interp",))["interp"]
         assert_identical(a, b, "single_pe")
 
+    @pytest.mark.parametrize("name", sorted(STANDARD))
+    @pytest.mark.parametrize("compress", (False, True))
+    def test_single_pe_every_workload(self, name, compress):
+        result = convert_source(STANDARD[name](),
+                                ConversionOptions(compress=compress))
+        runs = {}
+        for backend in ("native", "interp"):
+            try:
+                runs[backend] = run_native(result, 1, backend=backend)
+            except MachineError as err:  # a spawn with no idle PE
+                runs[backend] = str(err)
+        if isinstance(runs["interp"], str):
+            assert runs["native"] == runs["interp"]
+        else:
+            assert runs["native"].backend_used == "native"
+            assert_identical(runs["native"], runs["interp"],
+                             (name, compress))
+
 
 @requires_toolchain
 class TestErrorReconstruction:
@@ -74,6 +93,167 @@ class TestErrorReconstruction:
             msgs[backend] = str(exc.value)
         assert msgs["native"] == msgs["kernels"]
         assert "zero" in msgs["native"]
+
+
+@requires_toolchain
+class TestControlUnit:
+    """``msc_run`` walks the automaton in C: one foreign call per run,
+    with the steps and transitions it cannot do handed back to the
+    Python step code, bit-identically."""
+
+    @staticmethod
+    def _count_entries(monkeypatch) -> list:
+        entries = []
+        run = nativert.ControlUnit.run
+
+        def counted(unit, current, *args):
+            entries.append(current)
+            return run(unit, current, *args)
+
+        monkeypatch.setattr(nativert.ControlUnit, "run", counted)
+        return entries
+
+    def test_one_entry_per_run(self, monkeypatch):
+        result = convert_source(STANDARD["odd_even_sort"]())
+        ref = run_backends(result, 1024, backends=("kernels",))["kernels"]
+        entries = self._count_entries(monkeypatch)
+        res = run_native(result, 1024)
+        assert res.backend_used == "native"
+        assert_identical(res, ref, "sort@1024")
+        assert res.meta_transitions > 1000
+        assert len(entries) == 1
+
+    def test_wide_program_dispatches_in_python(self, monkeypatch):
+        from repro.workloads import barrier_phases
+
+        result = convert_source(barrier_phases(6, n_phases=22))
+        assert result.simd_program().plan().n_bids > 63
+        ref = run_backends(result, 8, backends=("interp",))["interp"]
+        entries = self._count_entries(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run_native(result, 8)
+        assert res.backend_used == "native"
+        assert_identical(res, ref, "wide")
+        # every hash dispatch came back to Python, then re-entered C
+        assert len(entries) > 1
+
+    #: PEs leave the loop at different steps and park at the barrier:
+    #: compressed, the run takes a node's all-at-barrier edge.
+    BARRIER_LOOP = """
+    main() {
+        poly int x; poly int i;
+        x = procnum;
+        i = 0;
+        while (i < procnum % 4) { x = x * 3 + 1; i = i + 1; }
+        wait;
+        x = x + 1;
+        return (x);
+    }
+    """
+
+    def test_barrier_target_checked_in_c(self, monkeypatch):
+        result = convert_source(self.BARRIER_LOOP,
+                                ConversionOptions(compress=True))
+        prog = result.simd_program()
+        assert any(node.barrier_target is not None
+                   for node in prog.nodes.values())
+        aggregates = []
+        globalor = SimdMachine._globalor
+
+        def recorded(machine, pc, plan=None):
+            aggregates.append(globalor(machine, pc, plan))
+            return aggregates[-1]
+
+        monkeypatch.setattr(SimdMachine, "_globalor", recorded)
+        ref = run_backends(result, 8, backends=("interp",))["interp"]
+        mask = key_of_members(prog.barrier_ids)
+        assert any(apc and not apc & ~mask for apc in aggregates)
+        entries = self._count_entries(monkeypatch)
+        res = run_native(result, 8)
+        assert res.backend_used == "native"
+        assert_identical(res, ref, "barrier loop")
+        assert len(entries) == 1
+
+    @staticmethod
+    def _hash_of_kind(kind: str, keys: list) -> HashFn:
+        """An injective hash of ``kind`` over ``keys``."""
+        if kind == "mod":
+            candidates = (HashFn(kind="mod", mod=m)
+                          for m in range(len(keys), 64 * len(keys)))
+        else:
+            candidates = (HashFn(kind=kind, s=sh, mask=(1 << b) - 1)
+                          for b in range(1, 9) for sh in range(64))
+        for fn in candidates:
+            if len({fn.apply(k) for k in keys}) == len(keys):
+                return fn
+        raise AssertionError(f"no injective {kind} hash")
+
+    @pytest.mark.parametrize("kind", ("mask", "notmask", "xor", "add",
+                                      "mod"))
+    def test_every_hash_kind_dispatches_in_c(self, kind, monkeypatch):
+        # Uncompressed, the barrier loop dispatches on aggregates with
+        # some PEs parked at the barrier, so the masking matters too.
+        result = convert_source(self.BARRIER_LOOP,
+                                ConversionOptions(compress=False))
+        prog = result.simd_program()
+        for node in prog.nodes.values():
+            if node.encoding is None:
+                continue
+            cases = node.encoding.cases
+            fn = self._hash_of_kind(kind, sorted(cases))
+            table = [None] * fn.table_size
+            for key, target in cases.items():
+                table[fn.apply(key)] = target
+            monkeypatch.setattr(node, "encoding",
+                                BranchEncoding(fn=fn, table=table,
+                                               cases=cases))
+        monkeypatch.setattr(prog, "_native", "unbuilt")
+        ref = run_backends(result, 8, backends=("interp",))["interp"]
+        entries = self._count_entries(monkeypatch)
+        res = run_native(result, 8)
+        assert res.backend_used == "native"
+        assert_identical(res, ref, kind)
+        assert len(entries) == 1
+
+    def test_step_limit_boundary(self):
+        result = convert_source(STANDARD["odd_even_sort"]())
+        prog = result.simd_program()
+        machines = {backend: SimdMachine(npes=64, costs=result.options.costs,
+                                         backend=backend)
+                    for backend in ("native", "kernels")}
+        full = machines["native"].run(prog)
+        # The last step ends in its body, before its transition, so a
+        # run takes one step more than it makes transitions.
+        limit = full.meta_transitions + 1
+        at_limit = machines["native"].run(prog, max_steps=limit)
+        assert at_limit.backend_used == "native"
+        assert_identical(at_limit, full, "at the step limit")
+        errs = {}
+        for backend, machine in machines.items():
+            with pytest.raises(MachineError) as exc:
+                machine.run(prog, max_steps=limit - 1)
+            errs[backend] = str(exc.value)
+        assert errs["native"] == errs["kernels"] == \
+            f"SIMD run exceeded {limit - 1} meta steps"
+
+    def test_unused_slot_raises_the_lookup_error(self, monkeypatch):
+        result = convert_source(STANDARD["divergent_loops"]())
+        prog = result.simd_program()
+        ref = run_backends(result, 16, backends=("interp",))["interp"]
+        visited = [node for node in prog.nodes.values()
+                   if node.encoding is not None
+                   and ref.node_visits.get(node.entry_members)]
+        enc = visited[0].encoding
+        monkeypatch.setattr(enc, "table", [None] * len(enc.table))
+        monkeypatch.setattr(prog, "_native", "unbuilt")
+        errs = {}
+        for backend in ("native", "kernels"):
+            with pytest.raises(ConversionError) as exc:
+                run_native(result, 16, backend=backend)
+            errs[backend] = str(exc.value)
+        assert errs["native"] == errs["kernels"]
+        assert "unencoded transition" in errs["native"]
 
 
 class TestFallbacks:
@@ -206,8 +386,8 @@ class TestArtifactCache:
         # compiler_id() is memoized by the build above, so the only
         # subprocess a warm load could spawn is the compile itself.
         monkeypatch.setattr(nativert.subprocess, "run", boom)
-        fns = nativert.load_native(nat)
-        assert set(fns) == set(nat.entry_names)
+        library = nativert.load_native(nat)
+        assert library.keys == nat.node_keys
 
     def test_key_includes_compiler_identity(self, monkeypatch):
         nat = convert_source(STANDARD["divergent_loops"]()) \

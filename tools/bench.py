@@ -13,7 +13,11 @@ workloads only ``--lazy`` can run at all, and a ``verifier`` section
 timing the incremental frontier verifier
 (:func:`repro.verify.frontier.explore`) over the explosion workloads'
 lazy engines — the graphs whose full frontier has ~3^24 states —
-gated at completing in seconds, not minutes, and an ``absint`` section
+gated at completing in seconds, not minutes, a ``transition_bound``
+section timing ``native`` against ``kernels`` (median over the reps)
+on odd_even_sort at 1024 PEs, whose 9217 meta transitions of a few
+lanes' work each make it a measure of the control unit rather than of
+the node bodies, and an ``absint`` section
 timing the abstract-interpretation fixpoint
 (:func:`repro.absint.facts.compute_facts`) over every workload
 *including* the explosion programs — the facts are polynomial in CFG
@@ -33,6 +37,10 @@ Exit status is nonzero if
 - ``native`` is slower than ``kernels`` on the scaling workload —
   enforced whenever the toolchain is available (the whole point of the
   C emission is beating the NumPy kernels' per-node dispatch),
+- ``native`` is less than 3x faster than ``kernels`` on the
+  transition-bound row — enforced whenever the toolchain is available
+  (the C control unit makes a run one foreign call instead of one
+  Python step per meta transition),
 - simulated cycles regressed against the latest prior ``BENCH_*.json``
   (cycles are machine-independent, so they are comparable across
   hosts; wall times are not), or
@@ -58,6 +66,7 @@ import json
 import os
 import platform
 import re
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -100,6 +109,12 @@ VERIFIER_MAX_META_STATES = 1_000_000
 #: Wall gate per workload for the absint fixpoint: polynomial in
 #: blocks, so even the ~3^24-state programs must solve fast.
 ABSINT_WALL_LIMIT_S = 1.0
+#: The transition-bound row: odd_even_sort at 1024 PEs (9217 meta
+#: transitions), where the per-transition control-unit cost dominates.
+TRANSITION_WORKLOAD = "odd_even_sort"
+TRANSITION_NPES = 1024
+#: ``native`` must beat ``kernels`` on that row by this factor.
+NATIVE_TRANSITION_SPEEDUP = 3.0
 
 
 def _bench_one(result, backend: str, npes: int, active: int | None,
@@ -123,6 +138,59 @@ def _bench_one(result, backend: str, npes: int, active: int | None,
         "utilization": round(res.utilization, 6),
         "meta_transitions": res.meta_transitions,
         "backend_used": res.backend_used,
+    }
+
+
+def _bench_transition_bound(reps: int) -> dict:
+    """The transition-bound row: ``native`` vs ``kernels`` on
+    odd_even_sort at :data:`TRANSITION_NPES`, median wall time over
+    ``reps`` timed runs after one warm-up run each."""
+    result = convert_source(STANDARD[TRANSITION_WORKLOAD](),
+                            ConversionOptions())
+    prog = result.simd_program()
+    reason = nativert.unavailable_reason()
+    rows: dict[str, dict] = {}
+    for backend in ("kernels",) if reason else ("native", "kernels"):
+        machine = SimdMachine(npes=TRANSITION_NPES,
+                              costs=result.options.costs, backend=backend)
+        res = machine.run(prog, max_steps=MAX_STEPS)  # warm
+        if res.backend_used != backend:
+            raise SystemExit(
+                f"backend {backend!r} silently ran as "
+                f"{res.backend_used!r} — refusing to mislabel the row")
+        walls = []
+        for _ in range(reps):
+            t0 = time.perf_counter()
+            res = machine.run(prog, max_steps=MAX_STEPS)
+            walls.append(time.perf_counter() - t0)
+        median = statistics.median(walls)
+        rows[backend] = {
+            "median_ms": round(median * 1e3, 3),
+            "min_ms": round(min(walls) * 1e3, 3),
+            "max_ms": round(max(walls) * 1e3, 3),
+            "us_per_transition": round(median * 1e6 / res.meta_transitions,
+                                       3),
+            "cycles": res.cycles,
+            "meta_transitions": res.meta_transitions,
+        }
+    if "native" in rows and (rows["native"]["cycles"]
+                             != rows["kernels"]["cycles"]):
+        raise SystemExit(f"{TRANSITION_WORKLOAD}: native diverges from "
+                         f"kernels on cycles")
+    speedup = (rows["kernels"]["median_ms"] / rows["native"]["median_ms"]
+               if "native" in rows else None)
+    return {
+        "workload": TRANSITION_WORKLOAD,
+        "npes": TRANSITION_NPES,
+        "reps": reps,
+        "rows": rows,
+        "native_vs_kernels": (round(speedup, 3)
+                              if speedup is not None else None),
+        "threshold": NATIVE_TRANSITION_SPEEDUP,
+        "enforced": reason is None,
+        "skip_reason": reason,
+        "passed": (speedup >= NATIVE_TRANSITION_SPEEDUP
+                   if speedup is not None else None),
     }
 
 
@@ -388,6 +456,20 @@ def main(argv: list[str] | None = None) -> int:
         speedup_native = None
         print(f"{'scaling (native)':24s} skipped: {native_reason}")
 
+    transition = _bench_transition_bound(args.reps)
+    trows = transition["rows"]
+    if transition["enforced"]:
+        print(f"{'transition-bound':24s} native="
+              f"{trows['native']['median_ms']:.2f}ms "
+              f"kernels={trows['kernels']['median_ms']:.2f}ms -> native "
+              f"{transition['native_vs_kernels']:.2f}x vs kernels "
+              f"(median of {args.reps}, {TRANSITION_WORKLOAD} @ "
+              f"{TRANSITION_NPES} PEs, threshold "
+              f"{NATIVE_TRANSITION_SPEEDUP}x)")
+    else:
+        print(f"{'transition-bound':24s} skipped: "
+              f"{transition['skip_reason']}")
+
     lazy = _bench_lazy(args.scaling_npes, args.reps)
     steady = lazy["steady_state"]
     print(f"{'lazy':24s} eager={steady['eager_wall_ms']:.2f}ms "
@@ -437,6 +519,7 @@ def main(argv: list[str] | None = None) -> int:
         "lazy": lazy,
         "verifier": verifier,
         "absint": absint,
+        "transition_bound": transition,
         "scaling": {
             "rows": scaling,
             "kernels_vs_interp": round(speedup_interp, 3),
@@ -472,6 +555,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"FAIL: native backend slower than the NumPy kernels on "
               f"the scaling workload ({speedup_native:.2f}x)",
               file=sys.stderr)
+        status = 1
+    if transition["passed"] is False:
+        print(f"FAIL: native is only {transition['native_vs_kernels']:.2f}x "
+              f"faster than the NumPy kernels on {TRANSITION_WORKLOAD} at "
+              f"{TRANSITION_NPES} PEs (threshold "
+              f"{NATIVE_TRANSITION_SPEEDUP}x)", file=sys.stderr)
         status = 1
     for problem in prior_problems:
         print(f"FAIL: {problem}", file=sys.stderr)
